@@ -19,6 +19,7 @@
 //!   llc                             fig12+fig13+fig14 (one sweep)
 //!   mechanisms                      figM1..M4 refresh-mechanism head-to-head
 //!   tail-latency                    figT1..T3 open-loop tail latency vs load
+//!   policies per-bank fgr           extension studies (Elastic, REFpb, FGR)
 //!   all                             everything above
 //! ```
 //!
@@ -26,11 +27,11 @@
 //! the default (20 M) reproduces the full shapes in minutes. Experiments
 //! sharing simulations are grouped so `all` runs each sweep once.
 //!
-//! `--store PATH` routes the executor-backed experiments (single/multi/
-//! llc/ablations) through the persistent `rop-harness` store: finished
-//! jobs are appended to PATH as JSONL and an interrupted invocation
-//! resumes from it, skipping every job already on disk. The analysis
-//! and extension studies always run fresh in-process.
+//! `--store PATH` routes the executor-backed experiments (every one but
+//! the §III analysis) through the persistent `rop-harness` store:
+//! finished jobs are appended to PATH as JSONL and an interrupted
+//! invocation resumes from it, skipping every job already on disk. The
+//! analysis study always runs fresh in-process.
 //!
 //! `--audit` attaches the trace-backed invariant auditor to every
 //! executor-backed job: runs that break a DRAM timing rule, the
@@ -98,8 +99,8 @@ fn parse_spec(args: &[String]) -> (RunSpec, Option<String>, bool, bool) {
 }
 
 /// The `rop-sweep` experiment name covering a repro command's
-/// executor-backed jobs, if any (analysis/extension studies always run
-/// fresh in-process and are vetted by their own `validate()` calls).
+/// executor-backed jobs, if any (the analysis study always runs fresh
+/// in-process and is vetted by its own `validate()` calls).
 fn lintable_experiment(cmd: &str) -> Option<&'static str> {
     match cmd {
         "fig7" | "fig8" | "fig9" | "single" => Some("single"),
@@ -111,6 +112,9 @@ fn lintable_experiment(cmd: &str) -> Option<&'static str> {
         "ablate-throttle" => Some("ablate-throttle"),
         "ablate-drain" => Some("ablate-drain"),
         "ablate-table" => Some("ablate-table"),
+        "policies" => Some("policies"),
+        "per-bank" => Some("per-bank"),
+        "fgr" => Some("fgr"),
         "all" => Some("all"),
         _ => None,
     }
@@ -143,13 +147,7 @@ fn lint_gate(cmd: &str, spec: RunSpec) {
     }
     // Model-check every refresh mechanism this run will build.
     match rop_lint::mech::gate_jobs(&jobs) {
-        Ok(reports) => {
-            let labels: Vec<&str> = reports.iter().map(|r| r.kind.label()).collect();
-            eprintln!(
-                "# lint: refresh mechanism(s) {} model-checked",
-                labels.join(" ")
-            );
-        }
+        Ok(gate) => eprintln!("# lint: {gate}"),
         Err(failures) => {
             eprintln!("# lint: mechanism model check rejected this run (use --no-lint to bypass):");
             eprint!("{failures}");
@@ -314,9 +312,9 @@ fn main() {
         }
         "table2" => println!("{}", render_table2()),
         "table3" => println!("{}", render_table3()),
-        "policies" => println!("{}", run_policy_comparison(spec).render()),
-        "fgr" => println!("{}", run_fgr_sweep(spec).render()),
-        "per-bank" => println!("{}", run_per_bank_study(spec).render()),
+        "policies" => println!("{}", run_policy_comparison(spec, exec).render()),
+        "fgr" => println!("{}", run_fgr_sweep(spec, exec).render()),
+        "per-bank" => println!("{}", run_per_bank_study(spec, exec).render()),
         "ablate-window" => println!("{}", ablate_window_with(spec, exec).render()),
         "ablate-throttle" => println!("{}", ablate_throttle_with(spec, exec).render()),
         "ablate-drain" => println!("{}", ablate_drain_with(spec, exec).render()),
@@ -359,9 +357,9 @@ fn main() {
             println!("{}", ablate_throttle_with(spec, exec).render());
             println!("{}", ablate_drain_with(spec, exec).render());
             println!("{}", ablate_table_with(spec, exec).render());
-            println!("{}", run_policy_comparison(spec).render());
-            println!("{}", run_fgr_sweep(spec).render());
-            println!("{}", run_per_bank_study(spec).render());
+            println!("{}", run_policy_comparison(spec, exec).render());
+            println!("{}", run_fgr_sweep(spec, exec).render());
+            println!("{}", run_per_bank_study(spec, exec).render());
         }
         _ => usage(),
     }

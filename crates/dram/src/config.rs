@@ -115,14 +115,10 @@ pub struct DramConfig {
     pub timing: TimingParams,
     /// Energy-model parameters.
     pub energy: EnergyParams,
-    /// When false, the device performs no refreshes at all — the paper's
-    /// idealised *no-refresh* memory used as the upper bound in Figure 1
-    /// and Figures 7/8.
-    pub refresh_enabled: bool,
 }
 
 impl DramConfig {
-    /// Paper baseline: DDR4-1600, auto-refresh on.
+    /// Paper baseline: DDR4-1600.
     pub fn baseline(ranks: usize) -> Self {
         let mut geometry = Geometry::ddr4_1rank();
         geometry.ranks = ranks;
@@ -130,15 +126,6 @@ impl DramConfig {
             geometry,
             timing: TimingParams::ddr4_1600_8gb(),
             energy: EnergyParams::ddr4_8gb(),
-            refresh_enabled: true,
-        }
-    }
-
-    /// Idealised no-refresh memory (upper bound).
-    pub fn no_refresh(ranks: usize) -> Self {
-        DramConfig {
-            refresh_enabled: false,
-            ..Self::baseline(ranks)
         }
     }
 
@@ -202,6 +189,5 @@ mod tests {
     fn configs() {
         DramConfig::baseline(1).validate().unwrap();
         DramConfig::baseline(4).validate().unwrap();
-        assert!(!DramConfig::no_refresh(1).refresh_enabled);
     }
 }

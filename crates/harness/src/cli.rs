@@ -10,7 +10,7 @@
 //!
 //! experiments: single multi llc mechanisms tail-latency
 //!              ablate-window ablate-throttle ablate-drain
-//!              ablate-table all
+//!              ablate-table policies per-bank fgr all
 //! flags: --store PATH (default sweep.jsonl) --instr N --seed S
 //!        --max-cycles N --workers N --retries N --quiet --audit
 //! ```
@@ -48,7 +48,8 @@ pub use rop_sim_system::experiments::driver::{
 const USAGE: &str = "usage: rop-sweep <command> [experiment] [flags]\n\
   commands:    run resume status diff export\n\
   experiments: single multi llc mechanisms tail-latency\n\
-               ablate-window ablate-throttle ablate-drain ablate-table all\n\
+               ablate-window ablate-throttle ablate-drain ablate-table\n\
+               policies per-bank fgr all\n\
   flags:       --store PATH --instr N --seed S --max-cycles N\n\
                --workers N --retries N (total attempts) --quiet --audit\n\
                --no-lint (skip the static config pre-check)\n\
@@ -211,12 +212,8 @@ fn lint_gate(experiment: &str, spec: RunSpec) -> Result<(), String> {
     // Model-check every refresh mechanism the sweep will build before a
     // single controller is constructed out of it.
     match rop_lint::mech::gate_jobs(&jobs) {
-        Ok(reports) => {
-            let labels: Vec<&str> = reports.iter().map(|r| r.kind.label()).collect();
-            eprintln!(
-                "# lint: refresh mechanism(s) {} model-checked",
-                labels.join(" ")
-            );
+        Ok(gate) => {
+            eprintln!("# lint: {gate}");
             Ok(())
         }
         Err(failures) => Err(format!(

@@ -47,7 +47,10 @@ use std::fmt;
 use rop_dram::TimingParams;
 use rop_events::{Cycle, EventSink, TraceEvent};
 use rop_memctrl::mechanism::{AllBank, Darp, Raidr, Sarp};
-use rop_memctrl::{RefreshManager, RefreshMechanism, RefreshScope, RefreshState, RoundShape};
+use rop_memctrl::{
+    MechanismKind, RefreshManager, RefreshMechanism, RefreshScope, RefreshState, RoundShape,
+};
+use rop_sim_system::runner::SweepJob;
 use rop_sim_system::{Auditor, AuditorConfig};
 
 use crate::explore::{fingerprint, SearchGraph, VisitedSet};
@@ -103,37 +106,93 @@ impl MechKind {
         MechKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
-    /// The checker target for a controller-config mechanism choice.
-    pub fn of(kind: &rop_memctrl::MechanismKind) -> MechKind {
+    /// The checker target for a controller-config mechanism choice, or
+    /// `None` for the kinds the checker does not build (no-refresh,
+    /// plain REFpb, Elastic).
+    pub fn of(kind: &MechanismKind) -> Option<MechKind> {
         match kind {
-            rop_memctrl::MechanismKind::AllBank => MechKind::AllBank,
-            rop_memctrl::MechanismKind::Darp => MechKind::Darp,
-            rop_memctrl::MechanismKind::Sarp => MechKind::Sarp,
-            rop_memctrl::MechanismKind::Raidr { .. } => MechKind::Raidr,
+            MechanismKind::AllBank => Some(MechKind::AllBank),
+            MechanismKind::Darp => Some(MechKind::Darp),
+            MechanismKind::Sarp => Some(MechKind::Sarp),
+            MechanismKind::Raidr { .. } => Some(MechKind::Raidr),
+            MechanismKind::NoRefresh | MechanismKind::PerBank | MechanismKind::Elastic => None,
         }
     }
 }
 
-/// The distinct zoo members a job set will build, in gate order — the
-/// coverage the pre-sweep verify-mech gate needs.
-pub fn mechanisms_in_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Vec<MechKind> {
-    let present: Vec<MechKind> = jobs
-        .iter()
-        .map(|j| MechKind::of(&crate::config::resolve_ctrl(j).mechanism))
-        .collect();
+/// The resolved refresh mechanism of every job, in job order.
+fn kinds_in_jobs(jobs: &[SweepJob]) -> Vec<MechanismKind> {
+    jobs.iter()
+        .map(|j| crate::config::resolve_ctrl(j).mechanism)
+        .collect()
+}
+
+/// The distinct zoo members among `kinds`, in gate order.
+fn modelled(kinds: &[MechanismKind]) -> Vec<MechKind> {
+    let present: Vec<MechKind> = kinds.iter().filter_map(MechKind::of).collect();
     MechKind::ALL
         .into_iter()
         .filter(|k| present.contains(k))
         .collect()
 }
 
+/// The distinct labels of the kinds among `kinds` the checker does not
+/// build, in first-seen order.
+fn not_modelled(kinds: &[MechanismKind]) -> Vec<&'static str> {
+    let mut labels = Vec::new();
+    for kind in kinds.iter().filter(|k| MechKind::of(k).is_none()) {
+        if !labels.contains(&kind.label()) {
+            labels.push(kind.label());
+        }
+    }
+    labels
+}
+
+/// The distinct zoo members a job set will build, in gate order — the
+/// coverage the pre-sweep verify-mech gate needs.
+pub fn mechanisms_in_jobs(jobs: &[SweepJob]) -> Vec<MechKind> {
+    modelled(&kinds_in_jobs(jobs))
+}
+
+/// What a passing pre-sweep gate covered.
+#[derive(Debug)]
+pub struct GateLog {
+    /// One clean report per zoo member the jobs build.
+    pub reports: Vec<MechReport>,
+    /// Labels of the mechanism kinds the jobs build that the checker
+    /// does not model (see [`MechKind::of`]).
+    pub not_modelled: Vec<&'static str>,
+}
+
+impl fmt::Display for GateLog {
+    /// The one-line gate summary `repro` and `rop-sweep` log.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let checked: Vec<&str> = self.reports.iter().map(|r| r.kind.label()).collect();
+        if checked.is_empty() {
+            write!(f, "no refresh mechanism model-checked")?;
+        } else {
+            write!(
+                f,
+                "refresh mechanism(s) {} model-checked",
+                checked.join(" ")
+            )?;
+        }
+        if !self.not_modelled.is_empty() {
+            write!(f, "; {} not modelled", self.not_modelled.join(" "))?;
+        }
+        Ok(())
+    }
+}
+
 /// Pre-sweep gate: bounded exhaustive check of every distinct zoo
 /// member `jobs` will build. `Ok` carries the per-mechanism reports
-/// for logging; `Err` the rendered failures.
-pub fn gate_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Result<Vec<MechReport>, String> {
+/// (and the kinds left unmodelled) for logging; `Err` the rendered
+/// failures.
+pub fn gate_jobs(jobs: &[SweepJob]) -> Result<GateLog, String> {
+    let kinds = kinds_in_jobs(jobs);
     let mut reports = Vec::new();
     let mut failures = String::new();
-    for kind in mechanisms_in_jobs(jobs) {
+    for kind in modelled(&kinds) {
         let report = check_mechanism(&MechCheckConfig::gate(kind));
         if !report.ok() {
             failures.push_str(&report.render());
@@ -141,7 +200,10 @@ pub fn gate_jobs(jobs: &[rop_sim_system::runner::SweepJob]) -> Result<Vec<MechRe
         reports.push(report);
     }
     if failures.is_empty() {
-        Ok(reports)
+        Ok(GateLog {
+            reports,
+            not_modelled: not_modelled(&kinds),
+        })
     } else {
         Err(failures)
     }
@@ -771,7 +833,7 @@ impl World {
     fn new(cfg: &MechCheckConfig, env: &Env) -> World {
         World {
             now: 0,
-            mgr: RefreshManager::new(env.slots, env.t_refi, env.max_postpone, true),
+            mgr: RefreshManager::new(env.slots, env.t_refi, env.max_postpone),
             mech: build_mech(cfg),
             engine_free: vec![0; env.ranks],
             sarp_since: vec![0; env.slots * env.subarrays],
@@ -1388,9 +1450,58 @@ mod tests {
         // its (much smaller) gate passes.
         let jobs = plan_jobs("single", spec).expect("plan");
         assert_eq!(mechanisms_in_jobs(&jobs), vec![MechKind::AllBank]);
-        let reports = gate_jobs(&jobs).expect("all-bank gate is clean");
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].complete);
+        let gate = gate_jobs(&jobs).expect("all-bank gate is clean");
+        assert_eq!(gate.reports.len(), 1);
+        assert!(gate.reports[0].complete);
+        // Its no-refresh bound is logged as unmodelled, not checked as
+        // all-bank refresh.
+        assert_eq!(gate.not_modelled, vec!["none"]);
+        assert_eq!(
+            gate.to_string(),
+            "refresh mechanism(s) allbank model-checked; none not modelled"
+        );
+    }
+
+    #[test]
+    fn the_gate_never_checks_a_mechanism_the_job_does_not_run() {
+        use rop_sim_system::runner::RunSpec;
+        use rop_sim_system::SystemKind;
+        use rop_trace::Benchmark;
+        let spec = RunSpec {
+            instructions: 1000,
+            max_cycles: 1000,
+            seed: 1,
+        };
+        // REFpb runs per-bank plain refresh: the checker models no such
+        // member, so nothing is checked in its name.
+        let jobs = [SweepJob::single(
+            "t",
+            Benchmark::Lbm,
+            SystemKind::PerBankRefresh,
+            spec,
+        )];
+        assert!(mechanisms_in_jobs(&jobs).is_empty());
+        let gate = gate_jobs(&jobs).expect("nothing to check");
+        assert!(gate.reports.is_empty());
+        assert_eq!(gate.not_modelled, vec!["perbank"]);
+        assert_eq!(
+            gate.to_string(),
+            "no refresh mechanism model-checked; perbank not modelled"
+        );
+        // Elastic and ROP-on-REFpb are not modelled either; DARP is.
+        let jobs: Vec<SweepJob> = [
+            SystemKind::ElasticRefresh,
+            SystemKind::RopPerBank { buffer: 64 },
+            SystemKind::Darp,
+        ]
+        .into_iter()
+        .map(|k| SweepJob::single("t", Benchmark::Lbm, k, spec))
+        .collect();
+        assert_eq!(mechanisms_in_jobs(&jobs), vec![MechKind::Darp]);
+        assert_eq!(
+            not_modelled(&kinds_in_jobs(&jobs)),
+            vec!["elastic", "perbank"]
+        );
     }
 
     #[test]

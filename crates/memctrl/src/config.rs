@@ -1,21 +1,34 @@
 //! Controller configuration.
 
 use crate::address::MappingScheme;
-use crate::refresh::RefreshPolicy;
+use crate::mechanism::RefreshScope;
 use crate::Cycle;
 use rop_core::RopConfig;
 use rop_dram::DramConfig;
 
-/// Which refresh *mechanism* drives the controller's Refresh Manager —
-/// the seam along which the paper's baseline and the related-work
-/// rivals (DARP, SARP, RAIDR) are compared head to head.
+/// How the controller issues refresh: the one decision that separates
+/// the paper's baseline, its no-refresh bound, and the related-work
+/// rivals (Elastic Refresh, DARP, SARP, RAIDR). Granularity is part of
+/// the choice — each variant implies its slot [`RefreshScope`] — so no
+/// mechanism can be paired with a refresh mode it does not run over.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MechanismKind {
-    /// Auto-refresh exactly as before this seam existed: one REF per
-    /// rank per tREFI (or one REFpb per bank when
-    /// [`MemCtrlConfig::per_bank_refresh`] is set), drain-then-refresh,
-    /// in slot order. Bit-exact with the pre-seam controller.
+    /// Idealised memory that never refreshes — the paper's upper bound
+    /// (Figure 1, Figures 7/8).
+    NoRefresh,
+    /// Auto-refresh: one all-bank REF per rank per tREFI,
+    /// drain-then-refresh, in slot order (the paper's baseline, after
+    /// Mukundan et al.).
     AllBank,
+    /// Per-bank refresh (REFpb): each bank refreshes independently every
+    /// tREFI for `tRFCpb`, freezing only itself — the paper's §VII
+    /// future-work memory model.
+    PerBank,
+    /// Elastic Refresh (Stuecheli et al., MICRO'10) over all-bank REF:
+    /// a due refresh is postponed while the rank has pending demand, up
+    /// to [`crate::mechanism::ELASTIC_MAX_DEBT`] owed refreshes, and owed
+    /// refreshes issue as soon as the rank goes idle.
+    Elastic,
     /// DARP (Chang et al., HPCA'14): per-bank refresh issued *out of
     /// order* — an upcoming REFpb is pulled into the present when its
     /// bank has no queued demand, and pull-in is widened during write
@@ -25,10 +38,11 @@ pub enum MechanismKind {
     /// per-bank refresh locks only one subarray (for `tRFCsa`), rotating
     /// round-robin; accesses to the bank's other subarrays keep flowing.
     Sarp,
-    /// RAIDR (Liu et al., ISCA'12): retention-aware refresh binning.
-    /// Rows are binned 64/128/256 ms by seeded Bloom filters; each
-    /// tREFI round refreshes only the rows whose bin falls due, as a
-    /// pro-rata-shortened REF, and rounds with no due bin are skipped.
+    /// RAIDR (Liu et al., ISCA'12): retention-aware refresh binning over
+    /// all-bank REF. Rows are binned 64/128/256 ms by seeded Bloom
+    /// filters; each tREFI round refreshes only the rows whose bin falls
+    /// due, as a pro-rata-shortened REF, and rounds with no due bin are
+    /// skipped.
     Raidr {
         /// Seed for the per-rank weak-row draw and Bloom hashing.
         seed: u64,
@@ -43,10 +57,28 @@ impl MechanismKind {
     /// Short stable label for figures, exports and the sweep grid.
     pub fn label(&self) -> &'static str {
         match self {
+            MechanismKind::NoRefresh => "none",
             MechanismKind::AllBank => "allbank",
+            MechanismKind::PerBank => "perbank",
+            MechanismKind::Elastic => "elastic",
             MechanismKind::Darp => "darp",
             MechanismKind::Sarp => "sarp",
             MechanismKind::Raidr { .. } => "raidr",
+        }
+    }
+
+    /// Granularity of the refresh slots this mechanism schedules: one
+    /// per (rank, bank) for the REFpb-based kinds, one per rank
+    /// otherwise.
+    pub fn scope(&self) -> RefreshScope {
+        match self {
+            MechanismKind::PerBank | MechanismKind::Darp | MechanismKind::Sarp => {
+                RefreshScope::PerBank
+            }
+            MechanismKind::NoRefresh
+            | MechanismKind::AllBank
+            | MechanismKind::Elastic
+            | MechanismKind::Raidr { .. } => RefreshScope::PerRank,
         }
     }
 }
@@ -80,16 +112,8 @@ pub struct MemCtrlConfig {
     /// dropped. Bounds the refresh delay prefetching can cause (§IV-D:
     /// JEDEC tolerates delayed refreshes; we keep the delay small).
     pub prefetch_grace: Cycle,
-    /// Refresh issue policy (Standard drain-then-refresh, or Elastic
-    /// Refresh for the related-work comparison).
-    pub refresh_policy: RefreshPolicy,
-    /// When true, refresh runs at *per-bank* granularity (REFpb): each
-    /// bank refreshes independently every tREFI for `tRFCpb`, freezing
-    /// only itself — the paper's §VII future-work memory model.
-    pub per_bank_refresh: bool,
-    /// The refresh mechanism driving the Refresh Manager (see
-    /// [`MechanismKind`]). `AllBank` reproduces the pre-seam controller
-    /// bit-exactly.
+    /// How the controller refreshes (see [`MechanismKind`]): the only
+    /// refresh selector, granularity included.
     pub mechanism: MechanismKind,
     /// ROP configuration; `None` disables ROP entirely (baseline system).
     pub rop: Option<RopConfig>,
@@ -108,17 +132,24 @@ impl MemCtrlConfig {
             age_cap: 2_000,
             max_refresh_postpone: 2 * 6_240,
             prefetch_grace: 560,
-            refresh_policy: RefreshPolicy::Standard,
-            per_bank_refresh: false,
             mechanism: MechanismKind::AllBank,
             rop: None,
+        }
+    }
+
+    /// Baseline controller over idealised memory that never refreshes
+    /// (the upper bound).
+    pub fn no_refresh(dram: DramConfig) -> Self {
+        MemCtrlConfig {
+            mechanism: MechanismKind::NoRefresh,
+            ..Self::baseline(dram)
         }
     }
 
     /// Baseline controller with per-bank refresh (§VII future work).
     pub fn per_bank(dram: DramConfig) -> Self {
         MemCtrlConfig {
-            per_bank_refresh: true,
+            mechanism: MechanismKind::PerBank,
             ..Self::baseline(dram)
         }
     }
@@ -127,7 +158,7 @@ impl MemCtrlConfig {
     /// each REFpb prefetches only for its own bank.
     pub fn rop_per_bank(dram: DramConfig, buffer_capacity: usize, seed: u64) -> Self {
         let mut cfg = Self::rop(dram, buffer_capacity, seed);
-        cfg.per_bank_refresh = true;
+        cfg.mechanism = MechanismKind::PerBank;
         let t_rfc_pb = cfg.dram.timing.t_rfc_pb;
         let rop = cfg.rop.as_mut().expect("rop config present");
         rop.observational_window = t_rfc_pb;
@@ -139,7 +170,7 @@ impl MemCtrlConfig {
     pub fn darp(dram: DramConfig) -> Self {
         MemCtrlConfig {
             mechanism: MechanismKind::Darp,
-            ..Self::per_bank(dram)
+            ..Self::baseline(dram)
         }
     }
 
@@ -147,7 +178,7 @@ impl MemCtrlConfig {
     pub fn sarp(dram: DramConfig) -> Self {
         MemCtrlConfig {
             mechanism: MechanismKind::Sarp,
-            ..Self::per_bank(dram)
+            ..Self::baseline(dram)
         }
     }
 
@@ -166,7 +197,7 @@ impl MemCtrlConfig {
     /// related-work refresh-hiding scheduler the paper discusses.
     pub fn elastic(dram: DramConfig) -> Self {
         MemCtrlConfig {
-            refresh_policy: RefreshPolicy::Elastic { max_debt: 8 },
+            mechanism: MechanismKind::Elastic,
             ..Self::baseline(dram)
         }
     }
@@ -217,16 +248,12 @@ impl MemCtrlConfig {
             return Err("write_drain_low must be below write_drain_high".into());
         }
         match self.mechanism {
-            MechanismKind::AllBank => {}
-            MechanismKind::Darp => {
-                if !self.per_bank_refresh {
-                    return Err("DARP requires per-bank refresh (REFpb)".into());
-                }
-            }
+            MechanismKind::NoRefresh
+            | MechanismKind::AllBank
+            | MechanismKind::PerBank
+            | MechanismKind::Elastic
+            | MechanismKind::Darp => {}
             MechanismKind::Sarp => {
-                if !self.per_bank_refresh {
-                    return Err("SARP requires per-bank refresh (REFpb)".into());
-                }
                 if self.dram.geometry.subarrays_per_bank < 2 {
                     return Err("SARP needs at least 2 subarrays per bank".into());
                 }
@@ -235,9 +262,6 @@ impl MemCtrlConfig {
                 }
             }
             MechanismKind::Raidr { bin_period, .. } => {
-                if self.per_bank_refresh {
-                    return Err("RAIDR runs over all-bank REF, not REFpb".into());
-                }
                 let t_refi = self.dram.timing.t_refi();
                 if bin_period == 0 || bin_period % t_refi != 0 {
                     return Err(format!(
@@ -291,21 +315,32 @@ mod tests {
         MemCtrlConfig::raidr(DramConfig::baseline(1), 7)
             .validate()
             .unwrap();
+        MemCtrlConfig::no_refresh(DramConfig::baseline(1))
+            .validate()
+            .unwrap();
+        MemCtrlConfig::elastic(DramConfig::baseline(1))
+            .validate()
+            .unwrap();
+        MemCtrlConfig::per_bank(DramConfig::baseline(2))
+            .validate()
+            .unwrap();
     }
 
     #[test]
-    fn mechanism_granularity_is_enforced() {
-        // DARP/SARP demand REFpb.
-        let mut c = MemCtrlConfig::darp(DramConfig::baseline(1));
-        c.per_bank_refresh = false;
-        assert!(c.validate().is_err());
-        let mut c = MemCtrlConfig::sarp(DramConfig::baseline(1));
-        c.per_bank_refresh = false;
-        assert!(c.validate().is_err());
-        // RAIDR demands all-bank REF.
-        let mut c = MemCtrlConfig::raidr(DramConfig::baseline(1), 1);
-        c.per_bank_refresh = true;
-        assert!(c.validate().is_err());
+    fn mechanism_kind_implies_granularity() {
+        let scope = |c: MemCtrlConfig| c.mechanism.scope();
+        let d = || DramConfig::baseline(1);
+        assert_eq!(scope(MemCtrlConfig::baseline(d())), RefreshScope::PerRank);
+        assert_eq!(scope(MemCtrlConfig::no_refresh(d())), RefreshScope::PerRank);
+        assert_eq!(scope(MemCtrlConfig::elastic(d())), RefreshScope::PerRank);
+        assert_eq!(scope(MemCtrlConfig::raidr(d(), 1)), RefreshScope::PerRank);
+        assert_eq!(scope(MemCtrlConfig::per_bank(d())), RefreshScope::PerBank);
+        assert_eq!(
+            scope(MemCtrlConfig::rop_per_bank(d(), 64, 1)),
+            RefreshScope::PerBank
+        );
+        assert_eq!(scope(MemCtrlConfig::darp(d())), RefreshScope::PerBank);
+        assert_eq!(scope(MemCtrlConfig::sarp(d())), RefreshScope::PerBank);
     }
 
     #[test]

@@ -25,10 +25,10 @@ use rop_dram::{Command, DramDevice, EnergyBreakdown};
 use rop_events::{EventSink, TraceBuffer, TraceEvent};
 use rop_stats::RatioCounter;
 
-use crate::address::AddressMapping;
+use crate::address::{AddressMapping, DecodedAddr};
 use crate::analysis::RefreshAnalysis;
-use crate::config::MemCtrlConfig;
-use crate::mechanism::{Mechanism, RefreshMechanism, RoundShape};
+use crate::config::{MechanismKind, MemCtrlConfig};
+use crate::mechanism::{Mechanism, RefreshMechanism, RefreshScope, RoundShape};
 use crate::refresh::{RefreshManager, RefreshState};
 use crate::request::MemRequest;
 use crate::Cycle;
@@ -198,6 +198,19 @@ impl TickScratch {
     }
 }
 
+/// The refresh slot a request to `addr` belongs to: its rank under
+/// per-rank refresh, its (rank, bank) pair under per-bank refresh. A
+/// free function so closures can use it while the controller's queues
+/// are borrowed.
+// rop-lint: hot
+#[inline]
+fn slot_of(scope: RefreshScope, banks: usize, addr: &DecodedAddr) -> usize {
+    match scope {
+        RefreshScope::PerBank => addr.rank * banks + addr.bank,
+        RefreshScope::PerRank => addr.rank,
+    }
+}
+
 /// The memory controller for one channel.
 #[derive(Debug)]
 pub struct MemController {
@@ -209,6 +222,8 @@ pub struct MemController {
     /// SARP or RAIDR). Kept as a separate field so the tick loop can
     /// borrow mechanism and manager disjointly.
     mech: Mechanism,
+    /// Slot granularity, read once from the configured mechanism kind.
+    scope: RefreshScope,
     /// Per-slot issue cycle of the in-flight refresh (`Cycle::MAX` when
     /// none, or when the round was skipped) — blocked-cycle accounting.
     refresh_started_at: Vec<Cycle>,
@@ -256,24 +271,13 @@ impl MemController {
         // Refresh is managed per *slot*: one slot per rank in all-bank
         // mode, one per (rank, bank) in per-bank (REFpb) mode. Every slot
         // owes one refresh per tREFI; the manager staggers them.
-        let slots = if cfg.per_bank_refresh {
-            ranks * banks
-        } else {
-            ranks
+        let scope = cfg.mechanism.scope();
+        let (slots, t_rfc) = match scope {
+            RefreshScope::PerBank => (ranks * banks, cfg.dram.timing.t_rfc_pb),
+            RefreshScope::PerRank => (ranks, cfg.dram.timing.t_rfc()),
         };
         let t_refi = cfg.dram.timing.t_refi();
-        let t_rfc = if cfg.per_bank_refresh {
-            cfg.dram.timing.t_rfc_pb
-        } else {
-            cfg.dram.timing.t_rfc()
-        };
-        let refresh = RefreshManager::with_policy(
-            slots,
-            t_refi,
-            cfg.max_refresh_postpone,
-            cfg.dram.refresh_enabled,
-            cfg.refresh_policy,
-        );
+        let refresh = RefreshManager::new(slots, t_refi, cfg.max_refresh_postpone);
         let rop = cfg.rop.as_ref().map(|rc| {
             let mut engines: Vec<RopEngine> = (0..ranks)
                 .map(|r| {
@@ -285,14 +289,19 @@ impl MemController {
                     RopEngine::new(c)
                 })
                 .collect();
-            for (r, e) in engines.iter_mut().enumerate() {
-                // Per rank: the earliest due among the rank's slots.
-                let due = if cfg.per_bank_refresh {
-                    (0..banks).map(|b| refresh.next_due(r * banks + b)).min()
-                } else {
-                    Some(refresh.next_due(r))
-                };
-                e.set_next_refresh_due(due.expect("at least one slot"));
+            // Memory that never refreshes leaves the engines no due to
+            // watch (their default).
+            if cfg.mechanism != MechanismKind::NoRefresh {
+                for (r, e) in engines.iter_mut().enumerate() {
+                    // Per rank: the earliest due among the rank's slots.
+                    let due = match scope {
+                        RefreshScope::PerBank => {
+                            (0..banks).map(|b| refresh.next_due(r * banks + b)).min()
+                        }
+                        RefreshScope::PerRank => Some(refresh.next_due(r)),
+                    };
+                    e.set_next_refresh_due(due.expect("at least one slot"));
+                }
             }
             RopState {
                 buffer: SramBuffer::new(rc.buffer_capacity),
@@ -318,6 +327,7 @@ impl MemController {
             mapping,
             refresh,
             mech,
+            scope,
             refresh_started_at: vec![Cycle::MAX; slots],
             refresh_scope_sa: vec![None; slots],
             read_q: Vec::with_capacity(cfg.read_queue_capacity),
@@ -420,31 +430,25 @@ impl MemController {
 
     #[inline]
     fn slot_rank(&self, slot: usize) -> usize {
-        if self.cfg.per_bank_refresh {
-            slot / self.cfg.dram.geometry.banks_per_rank
-        } else {
-            slot
+        match self.scope {
+            RefreshScope::PerBank => slot / self.cfg.dram.geometry.banks_per_rank,
+            RefreshScope::PerRank => slot,
         }
     }
 
     #[inline]
     fn slot_bank(&self, slot: usize) -> Option<usize> {
-        if self.cfg.per_bank_refresh {
-            Some(slot % self.cfg.dram.geometry.banks_per_rank)
-        } else {
-            None
+        match self.scope {
+            RefreshScope::PerBank => Some(slot % self.cfg.dram.geometry.banks_per_rank),
+            RefreshScope::PerRank => None,
         }
     }
 
     /// The refresh slot a request belongs to.
     // rop-lint: hot
     #[inline]
-    fn addr_slot(&self, addr: &crate::address::DecodedAddr) -> usize {
-        if self.cfg.per_bank_refresh {
-            addr.rank * self.cfg.dram.geometry.banks_per_rank + addr.bank
-        } else {
-            addr.rank
-        }
+    fn addr_slot(&self, addr: &DecodedAddr) -> usize {
+        slot_of(self.scope, self.cfg.dram.geometry.banks_per_rank, addr)
     }
 
     /// True while `slot`'s refresh blocks this *particular* request at
@@ -453,7 +457,7 @@ impl MemController {
     /// lives in the frozen subarray.
     // rop-lint: hot
     #[inline]
-    fn request_frozen(&self, slot: usize, addr: &crate::address::DecodedAddr, now: Cycle) -> bool {
+    fn request_frozen(&self, slot: usize, addr: &DecodedAddr, now: Cycle) -> bool {
         if !self.slot_frozen(slot, now) {
             return false;
         }
@@ -468,14 +472,11 @@ impl MemController {
     /// True while `slot`'s refresh holds its scope frozen at `now`.
     #[inline]
     fn slot_frozen(&self, slot: usize, now: Cycle) -> bool {
-        if self.cfg.per_bank_refresh {
-            self.device.is_bank_refreshing(
-                self.slot_rank(slot),
-                slot % self.cfg.dram.geometry.banks_per_rank,
-                now,
-            )
-        } else {
-            self.device.is_rank_refreshing(slot, now)
+        match self.slot_bank(slot) {
+            Some(bank) => self
+                .device
+                .is_bank_refreshing(self.slot_rank(slot), bank, now),
+            None => self.device.is_rank_refreshing(slot, now),
         }
     }
 
@@ -483,13 +484,12 @@ impl MemController {
     /// earliest among the rank's slots).
     fn update_engine_due(&mut self, rank: usize) {
         let banks = self.cfg.dram.geometry.banks_per_rank;
-        let due = if self.cfg.per_bank_refresh {
-            (0..banks)
+        let due = match self.scope {
+            RefreshScope::PerBank => (0..banks)
                 .map(|b| self.refresh.next_due(rank * banks + b))
                 .min()
-                .expect("banks > 0")
-        } else {
-            self.refresh.next_due(rank)
+                .expect("banks > 0"),
+            RefreshScope::PerRank => self.refresh.next_due(rank),
         };
         if let Some(rop) = &mut self.rop {
             rop.engines[rank].set_next_refresh_due(due);
@@ -498,19 +498,15 @@ impl MemController {
 
     /// Refreshes issued on `rank` (all its slots in per-bank mode).
     pub fn refreshes_issued(&self, rank: usize) -> u64 {
-        if self.cfg.per_bank_refresh {
-            let banks = self.cfg.dram.geometry.banks_per_rank;
-            (0..banks)
-                .map(|b| self.refresh.issued(rank * banks + b))
-                .sum()
-        } else {
-            self.refresh.issued(rank)
+        match self.scope {
+            RefreshScope::PerBank => {
+                let banks = self.cfg.dram.geometry.banks_per_rank;
+                (0..banks)
+                    .map(|b| self.refresh.issued(rank * banks + b))
+                    .sum()
+            }
+            RefreshScope::PerRank => self.refresh.issued(rank),
         }
-    }
-
-    /// The refresh mechanism in force (AllBank, DARP, SARP or RAIDR).
-    pub fn mechanism(&self) -> &Mechanism {
-        &self.mech
     }
 
     /// Refresh rounds skipped outright (RAIDR: no retention bin due).
@@ -712,7 +708,7 @@ impl MemController {
         &mut self,
         rank: usize,
         bank: usize,
-        addr: crate::address::DecodedAddr,
+        addr: DecodedAddr,
         is_read: bool,
         now: Cycle,
     ) {
@@ -907,27 +903,24 @@ impl MemController {
 
     // rop-lint: hot
     fn handle_refresh_dues(&mut self, now: Cycle) {
-        // `busy` for the Elastic policy: does the slot's scope have
-        // pending demand?
-        let per_bank = self.cfg.per_bank_refresh;
+        // `busy` for the Elastic and DARP mechanisms: does the slot's
+        // scope have pending demand?
+        let scope = self.scope;
         let banks = self.cfg.dram.geometry.banks_per_rank;
         let read_q = &self.read_q;
         let write_q = &self.write_q;
         let busy = |slot: usize| {
-            read_q.iter().chain(write_q.iter()).any(|q| {
-                if per_bank {
-                    q.req.addr.rank * banks + q.req.addr.bank == slot
-                } else {
-                    q.req.addr.rank == slot
-                }
-            })
+            read_q
+                .iter()
+                .chain(write_q.iter())
+                .any(|q| slot_of(scope, banks, &q.req.addr) == slot)
         };
-        // Elastic-policy debt accrues inside `poll_due`; snapshot it so a
+        // Elastic debt accrues inside `poll_due`; snapshot it so a
         // postponement can be traced (only when the trace is live).
         let mut debts_before = std::mem::take(&mut self.scratch.debts);
         debts_before.clear();
         if self.trace.is_enabled() {
-            debts_before.extend((0..self.refresh_slots()).map(|s| self.refresh.debt(s)));
+            debts_before.extend((0..self.refresh_slots()).map(|s| self.mech.debt(s)));
         }
         let mut due = std::mem::take(&mut self.scratch.slots);
         due.clear();
@@ -964,12 +957,7 @@ impl MemController {
             let set = &mut self.drain_sets[slot];
             set.clear();
             for q in self.read_q.iter().chain(self.write_q.iter()) {
-                let qslot = if per_bank {
-                    q.req.addr.rank * banks + q.req.addr.bank
-                } else {
-                    q.req.addr.rank
-                };
-                if qslot == slot
+                if slot_of(scope, banks, &q.req.addr) == slot
                     && sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
                 {
                     set.push(q.req.id);
@@ -1006,7 +994,7 @@ impl MemController {
         }
         if !debts_before.is_empty() {
             for (slot, &before) in debts_before.iter().enumerate() {
-                let debt = u64::from(self.refresh.debt(slot));
+                let debt = u64::from(self.mech.debt(slot));
                 if debt > u64::from(before) {
                     let rank = self.slot_rank(slot);
                     self.trace.emit(|| TraceEvent::RefreshPostponed {
@@ -1260,16 +1248,9 @@ impl MemController {
                         // Prefetches for this slot that have not issued
                         // can no longer help; drop them.
                         let before = self.prefetch_q.len();
-                        let per_bank = self.cfg.per_bank_refresh;
-                        let banks = self.cfg.dram.geometry.banks_per_rank;
-                        self.prefetch_q.retain(|q| {
-                            let qslot = if per_bank {
-                                q.req.addr.rank * banks + q.req.addr.bank
-                            } else {
-                                q.req.addr.rank
-                            };
-                            qslot != slot
-                        });
+                        let (scope, banks) = (self.scope, self.cfg.dram.geometry.banks_per_rank);
+                        self.prefetch_q
+                            .retain(|q| slot_of(scope, banks, &q.req.addr) != slot);
                         self.stats.prefetches_dropped += (before - self.prefetch_q.len()) as u64;
                         if std::env::var_os("ROP_DEBUG").is_some() {
                             eprintln!(
@@ -1833,7 +1814,7 @@ mod tests {
 
     #[test]
     fn no_refresh_config_never_refreshes() {
-        let mut c = MemController::new(MemCtrlConfig::baseline(DramConfig::no_refresh(1)));
+        let mut c = MemController::new(MemCtrlConfig::no_refresh(DramConfig::baseline(1)));
         let mut now = 0;
         while now < 20 * 6240 {
             now = c.tick(now).min(20 * 6240);

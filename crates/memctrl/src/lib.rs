@@ -38,7 +38,7 @@ pub use analysis::{RefreshAnalysis, RefreshAnalysisReport};
 pub use config::{MechanismKind, MemCtrlConfig};
 pub use controller::{Completion, MemController, MemCtrlStats};
 pub use mechanism::{Mechanism, RefreshMechanism, RefreshScope, RetentionBins, RoundShape};
-pub use refresh::{RefreshManager, RefreshPolicy, RefreshState};
+pub use refresh::{RefreshManager, RefreshState};
 pub use request::MemRequest;
 
 /// Memory-clock cycle (same unit as `rop-dram`).

@@ -10,7 +10,8 @@
 //! 1. **`poll_due`** — which slots enter Draining this tick. `AllBank`
 //!    delegates verbatim (bit-exact with the pre-seam controller); DARP
 //!    additionally *pulls in* upcoming per-bank refreshes whose banks
-//!    are idle.
+//!    are idle; Elastic turns passed dues into debt and drains once the
+//!    rank idles; NoRefresh never drains.
 //! 2. **`round_shape`** — what the controller must issue for a due
 //!    slot: a standard REF/REFpb, a SARP subarray-scoped refresh, a
 //!    RAIDR pro-rata-shortened REF, or nothing at all (a skipped round).
@@ -41,8 +42,8 @@ pub enum RefreshScope {
 /// current refresh round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundShape {
-    /// A standard REF (all-bank) or REFpb (per-bank) — whatever
-    /// [`MemCtrlConfig::per_bank_refresh`] selects. The pre-seam path.
+    /// A standard REF (all-bank) or REFpb (per-bank) — whatever the
+    /// mechanism's [`RefreshScope`] selects. The pre-seam path.
     Standard,
     /// A SARP refresh locking only `subarray` of the slot's bank for
     /// `tRFCsa`; the bank's other subarrays stay accessible.
@@ -137,6 +138,12 @@ pub trait RefreshMechanism {
         0
     }
 
+    /// Refreshes `slot` owes past their due time (Elastic).
+    fn debt(&self, slot: usize) -> u32 {
+        let _ = slot;
+        0
+    }
+
     /// One word of *behaviour-relevant* mechanism state for `slot` at
     /// `now` — the `MechState` snapshot hook the model checker hashes
     /// into its visited-state fingerprints. The contract: two
@@ -177,11 +184,11 @@ impl RefreshMechanism for AllBank {
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
@@ -196,6 +203,137 @@ impl RefreshMechanism for AllBank {
         until: Cycle,
     ) {
         base.refresh_issued(slot, now, until);
+    }
+}
+
+/// Idealised memory that never refreshes: no slot ever falls due and
+/// the refresh path never asks for a wake-up.
+#[derive(Debug, Clone)]
+pub struct NoRefresh;
+
+impl RefreshMechanism for NoRefresh {
+    fn scope(&self) -> RefreshScope {
+        RefreshScope::PerRank
+    }
+
+    fn poll_due(
+        &mut self,
+        _base: &mut RefreshManager,
+        _now: Cycle,
+        _busy: &dyn Fn(usize) -> bool,
+        _write_drain: bool,
+        _out: &mut Vec<usize>,
+    ) {
+    }
+
+    fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
+        RoundShape::Standard
+    }
+
+    fn on_refresh_issued(
+        &mut self,
+        _base: &mut RefreshManager,
+        _slot: usize,
+        _now: Cycle,
+        _until: Cycle,
+    ) {
+        // No slot ever drains, so the controller never issues a REF.
+        unreachable!("no-refresh mechanism issued a refresh"); // rop-lint: allow(no-panic)
+    }
+
+    fn next_event(&self, _base: &RefreshManager, _now: Cycle) -> Option<Cycle> {
+        None
+    }
+}
+
+/// Debt cap of the Elastic mechanism: owed refreshes a rank may carry
+/// before one is forced (JEDEC DDR4 allows eight postponed refreshes).
+pub const ELASTIC_MAX_DEBT: u32 = 8;
+
+/// Elastic Refresh (Stuecheli et al., MICRO'10) over all-bank REF. A
+/// due refresh is not drained at once: each due that passes adds one
+/// unit of debt and advances the schedule, and a drain starts only when
+/// the rank has no pending demand or the debt reaches
+/// [`ELASTIC_MAX_DEBT`]. Each issued REF pays one unit back, so owed
+/// refreshes catch up as soon as the rank goes idle and the long-run
+/// rate stays one per tREFI.
+#[derive(Debug, Clone)]
+pub struct Elastic {
+    /// Owed refreshes per rank.
+    debt: Vec<u32>,
+}
+
+impl Elastic {
+    /// Elastic refresh over `ranks` rank slots.
+    pub fn new(ranks: usize) -> Self {
+        Elastic {
+            debt: vec![0; ranks],
+        }
+    }
+}
+
+impl RefreshMechanism for Elastic {
+    fn scope(&self) -> RefreshScope {
+        RefreshScope::PerRank
+    }
+
+    // rop-lint: hot
+    fn poll_due(
+        &mut self,
+        base: &mut RefreshManager,
+        now: Cycle,
+        busy: &dyn Fn(usize) -> bool,
+        _write_drain: bool,
+        out: &mut Vec<usize>,
+    ) {
+        for rank in 0..base.ranks() {
+            // Accrue debt as due times pass (possibly several after a
+            // long fast-forward).
+            while now >= base.next_due(rank) {
+                base.defer_due(rank);
+                self.debt[rank] += 1;
+            }
+            let debt = self.debt[rank];
+            if base.state(rank) == RefreshState::Idle
+                && debt > 0
+                && (debt >= ELASTIC_MAX_DEBT || !busy(rank))
+                && base.start_drain(rank, now)
+            {
+                out.push(rank);
+            }
+        }
+    }
+
+    fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
+        RoundShape::Standard
+    }
+
+    fn on_refresh_issued(
+        &mut self,
+        base: &mut RefreshManager,
+        slot: usize,
+        _now: Cycle,
+        until: Cycle,
+    ) {
+        // The due was already deferred into debt when it passed.
+        base.start_refresh(slot, until);
+        debug_assert!(self.debt[slot] > 0);
+        self.debt[slot] = self.debt[slot].saturating_sub(1);
+    }
+
+    fn next_event(&self, base: &RefreshManager, now: Cycle) -> Option<Cycle> {
+        let mut next = base.next_event(now);
+        for rank in 0..base.ranks() {
+            if base.state(rank) == RefreshState::Idle && self.debt[rank] > 0 {
+                // Owed refreshes fire at the next idle poll.
+                next = Some(next.map_or(now + 1, |n| n.min(now + 1)));
+            }
+        }
+        next
+    }
+
+    fn debt(&self, slot: usize) -> u32 {
+        self.debt[slot]
     }
 }
 
@@ -275,7 +413,7 @@ impl RefreshMechanism for Darp {
                 out.push(slot);
             }
         }
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, _slot: usize) -> RoundShape {
@@ -368,11 +506,11 @@ impl RefreshMechanism for Sarp {
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, base: &RefreshManager, slot: usize) -> RoundShape {
@@ -456,11 +594,11 @@ impl RefreshMechanism for Raidr {
         &mut self,
         base: &mut RefreshManager,
         now: Cycle,
-        busy: &dyn Fn(usize) -> bool,
+        _busy: &dyn Fn(usize) -> bool,
         _write_drain: bool,
         out: &mut Vec<usize>,
     ) {
-        base.poll_due_into(now, busy, out);
+        base.poll_due_into(now, out);
     }
 
     fn round_shape(&self, _base: &RefreshManager, slot: usize) -> RoundShape {
@@ -646,8 +784,13 @@ fn bloom_query(bits: &[u64; BLOOM_WORDS], seed: u64, row: usize) -> bool {
 /// controller's per-tick path.
 #[derive(Debug, Clone)]
 pub enum Mechanism {
-    /// Pre-seam auto-refresh (the paper's baseline and ROP systems).
+    /// Never refreshes (the no-refresh upper bound).
+    NoRefresh(NoRefresh),
+    /// Pre-seam auto-refresh, all-bank or per-bank (the paper's
+    /// baseline and ROP systems, and REFpb).
     AllBank(AllBank),
+    /// Elastic Refresh's debt-based postponement.
+    Elastic(Elastic),
     /// Out-of-order per-bank refresh.
     Darp(Darp),
     /// Subarray-scoped refresh.
@@ -664,11 +807,11 @@ impl Mechanism {
     pub fn from_config(cfg: &MemCtrlConfig) -> Self {
         let g = &cfg.dram.geometry;
         match cfg.mechanism {
-            MechanismKind::AllBank => Mechanism::AllBank(AllBank::new(if cfg.per_bank_refresh {
-                RefreshScope::PerBank
-            } else {
-                RefreshScope::PerRank
-            })),
+            MechanismKind::NoRefresh => Mechanism::NoRefresh(NoRefresh),
+            MechanismKind::AllBank | MechanismKind::PerBank => {
+                Mechanism::AllBank(AllBank::new(cfg.mechanism.scope()))
+            }
+            MechanismKind::Elastic => Mechanism::Elastic(Elastic::new(g.ranks)),
             MechanismKind::Darp => Mechanism::Darp(Darp::new(
                 g.ranks * g.banks_per_rank,
                 g.banks_per_rank,
@@ -686,16 +829,6 @@ impl Mechanism {
         }
     }
 
-    /// Short label for metrics and sweep exports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Mechanism::AllBank(_) => "allbank",
-            Mechanism::Darp(_) => "darp",
-            Mechanism::Sarp(_) => "sarp",
-            Mechanism::Raidr(_) => "raidr",
-        }
-    }
-
     /// The RAIDR state, when this mechanism is RAIDR.
     pub fn as_raidr(&self) -> Option<&Raidr> {
         match self {
@@ -708,7 +841,9 @@ impl Mechanism {
 macro_rules! dispatch {
     ($self:expr, $m:pat => $body:expr) => {
         match $self {
+            Mechanism::NoRefresh($m) => $body,
             Mechanism::AllBank($m) => $body,
+            Mechanism::Elastic($m) => $body,
             Mechanism::Darp($m) => $body,
             Mechanism::Sarp($m) => $body,
             Mechanism::Raidr($m) => $body,
@@ -769,6 +904,10 @@ impl RefreshMechanism for Mechanism {
         dispatch!(self, m => m.refreshes_pulled_in())
     }
 
+    fn debt(&self, slot: usize) -> u32 {
+        dispatch!(self, m => m.debt(slot))
+    }
+
     fn mech_state(&self, base: &RefreshManager, now: Cycle, slot: usize) -> u64 {
         dispatch!(self, m => m.mech_state(base, now, slot))
     }
@@ -777,13 +916,12 @@ impl RefreshMechanism for Mechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refresh::RefreshPolicy;
 
     const T_REFI: Cycle = 6240;
     const T_RFC: Cycle = 280;
 
     fn manager(slots: usize) -> RefreshManager {
-        RefreshManager::with_policy(slots, T_REFI, 2 * T_REFI, true, RefreshPolicy::Standard)
+        RefreshManager::new(slots, T_REFI, 2 * T_REFI)
     }
 
     #[test]
@@ -796,7 +934,7 @@ mod tests {
         for now in (0..40_000).step_by(37) {
             out_a.clear();
             out_b.clear();
-            a.poll_due_into(now, |_| false, &mut out_a);
+            a.poll_due_into(now, &mut out_a);
             mech.poll_due(&mut b, now, &|_| false, false, &mut out_b);
             assert_eq!(out_a, out_b);
             for &s in &out_a {
@@ -876,7 +1014,7 @@ mod tests {
             sarp.round_shape(&base, 0),
             RoundShape::Subarray { subarray: 0 }
         );
-        base.poll_due(T_REFI, |_| false);
+        base.poll_due(T_REFI);
         base.refresh_issued(0, T_REFI, T_REFI + 90);
         assert_eq!(
             sarp.round_shape(&base, 0),
@@ -893,7 +1031,7 @@ mod tests {
         let mut skips = 0;
         for i in 0..8u64 {
             let now = (i + 1) * T_REFI;
-            base.poll_due(now, |_| false);
+            base.poll_due(now);
             match raidr.round_shape(&base, 0) {
                 RoundShape::Scaled {
                     duration,
@@ -950,6 +1088,98 @@ mod tests {
     }
 
     #[test]
+    fn no_refresh_never_fires() {
+        let mut base = manager(2);
+        let mut mech = NoRefresh;
+        let mut out = Vec::new();
+        mech.poll_due(&mut base, 100 * T_REFI, &|_| false, false, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(mech.next_event(&base, 0), None);
+        assert_eq!(base.issued(0), 0);
+    }
+
+    /// Polls `mech` at `now` with every slot busy (or idle) and returns
+    /// the slots that started draining.
+    fn elastic_step(
+        mech: &mut Elastic,
+        base: &mut RefreshManager,
+        now: Cycle,
+        busy: bool,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        mech.poll_due(base, now, &|_| busy, false, &mut out);
+        out
+    }
+
+    #[test]
+    fn elastic_postpones_while_busy() {
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        // Busy rank: due passes, debt accrues, no drain starts.
+        assert!(elastic_step(&mut m, &mut base, T_REFI, true).is_empty());
+        assert_eq!(m.debt(0), 1);
+        assert!(elastic_step(&mut m, &mut base, 2 * T_REFI + 1, true).is_empty());
+        assert_eq!(m.debt(0), 2);
+        // Rank goes idle: a drain starts immediately and issuing a
+        // refresh pays one unit of debt.
+        let now = 2 * T_REFI + 10;
+        assert_eq!(elastic_step(&mut m, &mut base, now, false), vec![0]);
+        m.on_refresh_issued(&mut base, 0, now, now + T_RFC);
+        assert_eq!(m.debt(0), 1);
+        // The due was deferred when it passed, not again at issue.
+        assert_eq!(base.next_due(0), 3 * T_REFI);
+        base.poll_complete(now + T_RFC);
+        // Still owing one: the next idle poll fires again (catch-up),
+        // and the wake hint asks for that poll.
+        assert_eq!(m.next_event(&base, now + T_RFC), Some(now + T_RFC + 1));
+        assert_eq!(elastic_step(&mut m, &mut base, now + T_RFC, false), vec![0]);
+    }
+
+    #[test]
+    fn elastic_forces_at_debt_cap() {
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        // Permanently busy: the eighth owed refresh forces a drain.
+        for i in 1..ELASTIC_MAX_DEBT as u64 {
+            assert!(elastic_step(&mut m, &mut base, i * T_REFI, true).is_empty());
+        }
+        let due = elastic_step(&mut m, &mut base, ELASTIC_MAX_DEBT as u64 * T_REFI, true);
+        assert_eq!(due, vec![0]);
+        assert_eq!(m.debt(0), ELASTIC_MAX_DEBT);
+    }
+
+    #[test]
+    fn elastic_long_run_rate_is_preserved() {
+        let mut base = manager(1);
+        let mut m = Elastic::new(1);
+        // Alternate busy/idle stretches for 40 tREFI; every owed refresh
+        // must eventually be issued.
+        for epoch in 0..40u64 {
+            let mut now = (epoch + 1) * T_REFI + 17;
+            let busy = epoch % 3 != 0;
+            let mut due = elastic_step(&mut m, &mut base, now, busy);
+            // Catch up any remaining debt while idle.
+            while let Some(&slot) = due.first() {
+                m.on_refresh_issued(&mut base, slot, now, now + T_RFC);
+                now += T_RFC;
+                base.poll_complete(now);
+                due = if busy {
+                    Vec::new()
+                } else {
+                    elastic_step(&mut m, &mut base, now, false)
+                };
+            }
+        }
+        let owed = u64::from(m.debt(0));
+        assert!(
+            base.issued(0) + owed >= 39,
+            "issued {} debt {owed}",
+            base.issued(0)
+        );
+        assert!(m.debt(0) <= ELASTIC_MAX_DEBT);
+    }
+
+    #[test]
     fn mech_state_words_are_finite_and_behavioural() {
         // DARP: only the activity *age* matters, saturated at the idle
         // window — far-past activity fingerprints identically.
@@ -966,7 +1196,7 @@ mod tests {
         let mut base = manager(1);
         let sarp = Sarp::new(4);
         assert_eq!(sarp.mech_state(&base, 0, 0), 0);
-        base.poll_due(T_REFI, |_| false);
+        base.poll_due(T_REFI);
         base.refresh_issued(0, T_REFI, T_REFI + 90);
         assert_eq!(sarp.mech_state(&base, T_REFI, 0), 1);
         // RAIDR: rounds reduce modulo the 256 ms cadence (4×stride).
@@ -975,7 +1205,7 @@ mod tests {
         assert_eq!(raidr.mech_state(&base, 0, 0), 0);
         for i in 0..8u64 {
             let now = (i + 1) * T_REFI;
-            base.poll_due(now, |_| false);
+            base.poll_due(now);
             match raidr.round_shape(&base, 0) {
                 RoundShape::Skip { .. } => raidr.on_refresh_skipped(&mut base, 0, now),
                 _ => raidr.on_refresh_issued(&mut base, 0, now, now + 1),
@@ -1000,5 +1230,21 @@ mod tests {
         let m = Mechanism::from_config(&MemCtrlConfig::raidr(DramConfig::baseline(2), 3));
         assert_eq!(m.scope(), RefreshScope::PerRank);
         assert!(m.as_raidr().is_some());
+        let m = Mechanism::from_config(&MemCtrlConfig::elastic(DramConfig::baseline(2)));
+        assert_eq!(m.scope(), RefreshScope::PerRank);
+        let m = Mechanism::from_config(&MemCtrlConfig::no_refresh(DramConfig::baseline(1)));
+        assert_eq!(m.scope(), RefreshScope::PerRank);
+        // The built mechanism's scope always agrees with the kind's.
+        for cfg in [
+            MemCtrlConfig::baseline(DramConfig::baseline(1)),
+            MemCtrlConfig::no_refresh(DramConfig::baseline(1)),
+            MemCtrlConfig::per_bank(DramConfig::baseline(1)),
+            MemCtrlConfig::elastic(DramConfig::baseline(1)),
+            MemCtrlConfig::darp(DramConfig::baseline(1)),
+            MemCtrlConfig::sarp(DramConfig::baseline(1)),
+            MemCtrlConfig::raidr(DramConfig::baseline(1), 1),
+        ] {
+            assert_eq!(Mechanism::from_config(&cfg).scope(), cfg.mechanism.scope());
+        }
     }
 }

@@ -13,23 +13,6 @@
 
 use crate::Cycle;
 
-/// When a due refresh actually gets issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshPolicy {
-    /// Drain the rank's queued requests, then refresh (the paper's
-    /// baseline behaviour, after Mukundan et al.).
-    Standard,
-    /// Elastic Refresh (Stuecheli et al., MICRO'10): postpone a due
-    /// refresh while the rank has pending demand, accumulating a debt of
-    /// at most `max_debt` outstanding refreshes (JEDEC allows 8); issue
-    /// owed refreshes as soon as the rank goes idle, or immediately when
-    /// the debt cap is hit.
-    Elastic {
-        /// Maximum outstanding postponed refreshes.
-        max_debt: u32,
-    },
-}
-
 /// Per-rank refresh lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshState {
@@ -58,40 +41,14 @@ pub struct RefreshManager {
     state: Vec<RefreshState>,
     /// Refreshes issued per rank.
     issued: Vec<u64>,
-    /// True when refresh is disabled (ideal no-refresh memory).
-    enabled: bool,
-    /// Issue policy.
-    policy: RefreshPolicy,
-    /// Outstanding postponed refreshes per rank (Elastic policy).
-    debt: Vec<u32>,
 }
 
 impl RefreshManager {
     /// Creates a manager for `ranks` ranks. Rank due times are staggered
     /// by `tREFI / ranks` as real controllers do, so refreshes of
     /// different ranks do not collide on the command bus.
-    pub fn new(ranks: usize, t_refi: Cycle, max_postpone: Cycle, enabled: bool) -> Self {
-        Self::with_policy(
-            ranks,
-            t_refi,
-            max_postpone,
-            enabled,
-            RefreshPolicy::Standard,
-        )
-    }
-
-    /// As [`Self::new`] with an explicit issue policy.
-    pub fn with_policy(
-        ranks: usize,
-        t_refi: Cycle,
-        max_postpone: Cycle,
-        enabled: bool,
-        policy: RefreshPolicy,
-    ) -> Self {
+    pub fn new(ranks: usize, t_refi: Cycle, max_postpone: Cycle) -> Self {
         assert!(ranks > 0 && t_refi > 0);
-        if let RefreshPolicy::Elastic { max_debt } = policy {
-            assert!(max_debt >= 1, "elastic refresh needs a debt budget");
-        }
         let stagger = t_refi / ranks as u64;
         RefreshManager {
             t_refi,
@@ -99,15 +56,7 @@ impl RefreshManager {
             next_due: (0..ranks).map(|r| t_refi + r as u64 * stagger).collect(),
             state: vec![RefreshState::Idle; ranks],
             issued: vec![0; ranks],
-            enabled,
-            policy,
-            debt: vec![0; ranks],
         }
-    }
-
-    /// Outstanding postponed refreshes on `rank` (0 under Standard).
-    pub fn debt(&self, rank: usize) -> u32 {
-        self.debt[rank]
     }
 
     /// Number of ranks managed.
@@ -120,13 +69,9 @@ impl RefreshManager {
         self.state[rank]
     }
 
-    /// The next scheduled due time for `rank` (`Cycle::MAX` if disabled).
+    /// The next scheduled due time for `rank`.
     pub fn next_due(&self, rank: usize) -> Cycle {
-        if self.enabled {
-            self.next_due[rank]
-        } else {
-            Cycle::MAX
-        }
+        self.next_due[rank]
     }
 
     /// Total refreshes issued on `rank`.
@@ -137,52 +82,22 @@ impl RefreshManager {
     /// Checks for ranks whose refresh falls due at `now`; transitions
     /// Idle → Draining and reports newly-due ranks (so the controller can
     /// snapshot drain sets and ask ROP for a decision).
-    ///
-    /// `busy(rank)` reports whether the rank currently has pending demand
-    /// requests; the Elastic policy uses it to decide whether to postpone.
-    pub fn poll_due(&mut self, now: Cycle, busy: impl Fn(usize) -> bool) -> Vec<usize> {
+    pub fn poll_due(&mut self, now: Cycle) -> Vec<usize> {
         let mut newly_due = Vec::new();
-        self.poll_due_into(now, busy, &mut newly_due);
+        self.poll_due_into(now, &mut newly_due);
         newly_due
     }
 
     /// Allocation-free variant of [`Self::poll_due`]: appends newly-due
     /// ranks to `out` (which the caller clears and reuses across ticks).
     // rop-lint: hot
-    pub fn poll_due_into(
-        &mut self,
-        now: Cycle,
-        busy: impl Fn(usize) -> bool,
-        out: &mut Vec<usize>,
-    ) {
-        if !self.enabled {
-            return;
-        }
+    pub fn poll_due_into(&mut self, now: Cycle, out: &mut Vec<usize>) {
         for rank in 0..self.state.len() {
-            match self.policy {
-                RefreshPolicy::Standard => {
-                    if self.state[rank] == RefreshState::Idle && now >= self.next_due[rank] {
-                        self.state[rank] = RefreshState::Draining {
-                            due: self.next_due[rank],
-                        };
-                        out.push(rank);
-                    }
-                }
-                RefreshPolicy::Elastic { max_debt } => {
-                    // Accrue debt as due times pass (possibly several
-                    // after a long fast-forward).
-                    while now >= self.next_due[rank] {
-                        self.next_due[rank] += self.t_refi;
-                        self.debt[rank] += 1;
-                    }
-                    if self.state[rank] == RefreshState::Idle
-                        && self.debt[rank] > 0
-                        && (self.debt[rank] >= max_debt || !busy(rank))
-                    {
-                        self.state[rank] = RefreshState::Draining { due: now };
-                        out.push(rank);
-                    }
-                }
+            if self.state[rank] == RefreshState::Idle && now >= self.next_due[rank] {
+                self.state[rank] = RefreshState::Draining {
+                    due: self.next_due[rank],
+                };
+                out.push(rank);
             }
         }
     }
@@ -192,20 +107,27 @@ impl RefreshManager {
     /// still advances the schedule in exact `tREFI` steps and the
     /// long-run refresh rate is unchanged. Used by the DARP mechanism to
     /// start refreshes early on idle banks (and during write drains).
-    /// Returns `false` without transitioning unless the slot is Idle,
-    /// refresh is enabled, and the policy is Standard (Elastic has its
-    /// own postpone/catch-up machinery).
+    /// Returns `false` without transitioning unless the slot is Idle.
     pub fn pull_in(&mut self, slot: usize) -> bool {
-        if !self.enabled || !matches!(self.policy, RefreshPolicy::Standard) {
-            return false;
-        }
+        let due = self.next_due[slot];
+        self.start_drain(slot, due)
+    }
+
+    /// Transitions an Idle `slot` to Draining with the given `due`
+    /// stamp, from which the postpone deadline and the prefetch grace
+    /// are measured. Returns `false` (no transition) unless Idle.
+    pub fn start_drain(&mut self, slot: usize, due: Cycle) -> bool {
         if self.state[slot] != RefreshState::Idle {
             return false;
         }
-        self.state[slot] = RefreshState::Draining {
-            due: self.next_due[slot],
-        };
+        self.state[slot] = RefreshState::Draining { due };
         true
+    }
+
+    /// Advances `slot`'s schedule by one `tREFI` without a refresh: the
+    /// due passed and the caller now owes the refresh (Elastic debt).
+    pub fn defer_due(&mut self, slot: usize) {
+        self.next_due[slot] += self.t_refi;
     }
 
     /// True when the drain deadline for `rank` has passed and the refresh
@@ -227,6 +149,15 @@ impl RefreshManager {
     /// `until`. Advances the schedule by exactly one `tREFI` from the due
     /// time (not from `now`), preserving the average refresh rate.
     pub fn refresh_issued(&mut self, rank: usize, _now: Cycle, until: Cycle) {
+        let due = self.start_refresh(rank, until);
+        self.next_due[rank] = due + self.t_refi;
+    }
+
+    /// Draining → Refreshing until `until`, counting the refresh but
+    /// leaving the schedule alone (for a mechanism that already advanced
+    /// it, like Elastic paying off a deferred due). Returns the drain's
+    /// due stamp.
+    pub fn start_refresh(&mut self, rank: usize, until: Cycle) -> Cycle {
         let due = match self.state[rank] {
             RefreshState::Draining { due } => due,
             // Controller bug, not a config error: the scheduler only
@@ -234,17 +165,8 @@ impl RefreshManager {
             other => panic!("refresh issued on rank {rank} in state {other:?}"), // rop-lint: allow(no-panic)
         };
         self.state[rank] = RefreshState::Refreshing { until };
-        match self.policy {
-            RefreshPolicy::Standard => {
-                self.next_due[rank] = due + self.t_refi;
-            }
-            RefreshPolicy::Elastic { .. } => {
-                // Dues were accrued into debt when they passed.
-                debug_assert!(self.debt[rank] > 0);
-                self.debt[rank] = self.debt[rank].saturating_sub(1);
-            }
-        }
         self.issued[rank] += 1;
+        due
     }
 
     /// Checks for refresh completions at `now`; transitions Refreshing →
@@ -272,9 +194,6 @@ impl RefreshManager {
     /// The earliest future cycle at which this manager needs attention
     /// (a due time or a completion), for fast-forwarding.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.enabled {
-            return None;
-        }
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
             if c > now {
@@ -283,13 +202,7 @@ impl RefreshManager {
         };
         for rank in 0..self.state.len() {
             match self.state[rank] {
-                RefreshState::Idle => {
-                    if matches!(self.policy, RefreshPolicy::Elastic { .. }) && self.debt[rank] > 0 {
-                        // Owed refreshes fire at the next idle poll.
-                        consider(now + 1);
-                    }
-                    consider(self.next_due[rank]);
-                }
+                RefreshState::Idle => consider(self.next_due[rank]),
                 RefreshState::Draining { due } => consider(due + self.max_postpone),
                 // `until.max(now + 1)`: a zero-length round (RAIDR skip)
                 // completes at the next tick, which still needs a hint.
@@ -309,7 +222,7 @@ mod tests {
 
     #[test]
     fn staggered_due_times() {
-        let m = RefreshManager::new(4, T_REFI, 2 * T_REFI, true);
+        let m = RefreshManager::new(4, T_REFI, 2 * T_REFI);
         let dues: Vec<Cycle> = (0..4).map(|r| m.next_due(r)).collect();
         assert_eq!(dues[0], T_REFI);
         assert_eq!(dues[1], T_REFI + T_REFI / 4);
@@ -318,9 +231,9 @@ mod tests {
 
     #[test]
     fn lifecycle_idle_draining_refreshing() {
-        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
-        assert!(m.poll_due(100, |_| false).is_empty());
-        let due = m.poll_due(T_REFI, |_| false);
+        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI);
+        assert!(m.poll_due(100).is_empty());
+        let due = m.poll_due(T_REFI);
         assert_eq!(due, vec![0]);
         assert!(matches!(m.state(0), RefreshState::Draining { .. }));
         m.refresh_issued(0, T_REFI + 50, T_REFI + 50 + T_RFC);
@@ -336,11 +249,11 @@ mod tests {
 
     #[test]
     fn average_rate_preserved_under_postponement() {
-        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
+        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI);
         let mut issued_times = Vec::new();
         for _ in 0..10 {
             let now = m.next_due(0);
-            m.poll_due(now, |_| false);
+            m.poll_due(now);
             // Postpone every refresh by 500 cycles.
             let issue_at = now + 500;
             m.refresh_issued(0, issue_at, issue_at + T_RFC);
@@ -354,115 +267,25 @@ mod tests {
 
     #[test]
     fn deadline_forces_refresh() {
-        let mut m = RefreshManager::new(1, T_REFI, 1000, true);
-        m.poll_due(T_REFI, |_| false);
+        let mut m = RefreshManager::new(1, T_REFI, 1000);
+        m.poll_due(T_REFI);
         assert!(!m.drain_deadline_passed(0, T_REFI + 999));
         assert!(m.drain_deadline_passed(0, T_REFI + 1000));
     }
 
     #[test]
-    fn disabled_manager_never_fires() {
-        let mut m = RefreshManager::new(2, T_REFI, 1000, false);
-        assert!(m.poll_due(100 * T_REFI, |_| false).is_empty());
-        assert_eq!(m.next_due(0), Cycle::MAX);
-        assert!(m.next_event(0).is_none());
-    }
-
-    #[test]
     fn next_event_tracks_state() {
-        let mut m = RefreshManager::new(1, T_REFI, 1000, true);
+        let mut m = RefreshManager::new(1, T_REFI, 1000);
         assert_eq!(m.next_event(0), Some(T_REFI));
-        m.poll_due(T_REFI, |_| false);
+        m.poll_due(T_REFI);
         assert_eq!(m.next_event(T_REFI), Some(T_REFI + 1000));
         m.refresh_issued(0, T_REFI + 10, T_REFI + 10 + T_RFC);
         assert_eq!(m.next_event(T_REFI + 10), Some(T_REFI + 10 + T_RFC));
     }
 
     #[test]
-    fn elastic_postpones_while_busy() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 8 },
-        );
-        // Busy rank: due passes, debt accrues, no drain starts.
-        assert!(m.poll_due(T_REFI, |_| true).is_empty());
-        assert_eq!(m.debt(0), 1);
-        assert!(m.poll_due(2 * T_REFI + 1, |_| true).is_empty());
-        assert_eq!(m.debt(0), 2);
-        // Rank goes idle: a drain starts immediately and issuing a
-        // refresh pays one unit of debt.
-        let due = m.poll_due(2 * T_REFI + 10, |_| false);
-        assert_eq!(due, vec![0]);
-        m.refresh_issued(0, 2 * T_REFI + 10, 2 * T_REFI + 10 + T_RFC);
-        assert_eq!(m.debt(0), 1);
-        m.poll_complete(2 * T_REFI + 10 + T_RFC);
-        // Still owing one: next idle poll fires again (catch-up).
-        let due = m.poll_due(2 * T_REFI + 10 + T_RFC, |_| false);
-        assert_eq!(due, vec![0]);
-    }
-
-    #[test]
-    fn elastic_forces_at_debt_cap() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 3 },
-        );
-        // Permanently busy: the third owed refresh forces a drain.
-        assert!(m.poll_due(T_REFI, |_| true).is_empty());
-        assert!(m.poll_due(2 * T_REFI, |_| true).is_empty());
-        let due = m.poll_due(3 * T_REFI, |_| true);
-        assert_eq!(due, vec![0]);
-        assert_eq!(m.debt(0), 3);
-    }
-
-    #[test]
-    fn elastic_long_run_rate_is_preserved() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 8 },
-        );
-        // Alternate busy/idle stretches for 40 tREFI; every owed refresh
-        // must eventually be issued.
-        let mut now;
-        for epoch in 0..40u64 {
-            now = (epoch + 1) * T_REFI + 17;
-            let busy = epoch % 3 != 0;
-            for rank in m.poll_due(now, |_| busy) {
-                m.refresh_issued(rank, now, now + T_RFC);
-                now += T_RFC;
-                m.poll_complete(now);
-                // Catch up any remaining debt while idle.
-                while !busy && m.debt(0) > 0 {
-                    if m.poll_due(now, |_| false).is_empty() {
-                        break;
-                    }
-                    m.refresh_issued(0, now, now + T_RFC);
-                    now += T_RFC;
-                    m.poll_complete(now);
-                }
-            }
-        }
-        assert!(
-            m.issued(0) + m.debt(0) as u64 >= 39,
-            "issued {} debt {}",
-            m.issued(0),
-            m.debt(0)
-        );
-        assert!(m.debt(0) <= 8);
-    }
-
-    #[test]
     fn pull_in_keeps_the_nominal_schedule() {
-        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, true);
+        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI);
         // Pull the first refresh 1000 cycles early.
         assert!(m.pull_in(0));
         assert!(matches!(m.state(0), RefreshState::Draining { .. }));
@@ -477,23 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn pull_in_refuses_elastic_and_disabled() {
-        let mut m = RefreshManager::with_policy(
-            1,
-            T_REFI,
-            2 * T_REFI,
-            true,
-            RefreshPolicy::Elastic { max_debt: 2 },
-        );
-        assert!(!m.pull_in(0));
-        let mut m = RefreshManager::new(1, T_REFI, 2 * T_REFI, false);
-        assert!(!m.pull_in(0));
-    }
-
-    #[test]
     #[should_panic]
     fn issue_without_draining_panics() {
-        let mut m = RefreshManager::new(1, T_REFI, 1000, true);
+        let mut m = RefreshManager::new(1, T_REFI, 1000);
         m.refresh_issued(0, 10, 290);
     }
 }

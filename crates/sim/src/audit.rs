@@ -9,7 +9,7 @@
 //!   from the issued command stream, plus tRFC freezes: no command may
 //!   touch a refreshing scope, and a refresh completion may not be
 //!   observed before `start + tRFC` has elapsed.
-//! * **Refresh-postpone bound** — under the Standard policy a drain may
+//! * **Refresh-postpone bound** — outside Elastic a drain may
 //!   hold a due refresh back at most `max_refresh_postpone` cycles (plus
 //!   a bounded quiesce allowance for the final precharges); under
 //!   Elastic the traced debt may never exceed `max_debt` plus the
@@ -32,7 +32,8 @@ use std::fmt;
 
 use rop_dram::TimingParams;
 use rop_events::{CmdKind, Cycle, EventSink, TraceEvent};
-use rop_memctrl::{MechanismKind, MemCtrlConfig, RefreshPolicy};
+use rop_memctrl::mechanism::ELASTIC_MAX_DEBT;
+use rop_memctrl::{MechanismKind, MemCtrlConfig, RefreshScope};
 
 /// How many trailing events a violation report keeps.
 const TAIL_CAPACITY: usize = 64;
@@ -53,7 +54,7 @@ pub struct AuditorConfig {
     pub per_bank: bool,
     /// Drain-before-refresh postpone budget (cycles).
     pub max_refresh_postpone: Cycle,
-    /// Elastic-policy debt cap, when that policy is active.
+    /// Elastic debt cap, when that mechanism runs.
     pub elastic_max_debt: Option<u32>,
     /// ROP observational window (cycles), when ROP is enabled.
     pub observational_window: Option<Cycle>,
@@ -75,12 +76,9 @@ impl AuditorConfig {
             timing: cfg.dram.timing,
             ranks: cfg.dram.geometry.ranks,
             banks_per_rank: cfg.dram.geometry.banks_per_rank,
-            per_bank: cfg.per_bank_refresh,
+            per_bank: cfg.mechanism.scope() == RefreshScope::PerBank,
             max_refresh_postpone: cfg.max_refresh_postpone,
-            elastic_max_debt: match cfg.refresh_policy {
-                RefreshPolicy::Elastic { max_debt } => Some(max_debt),
-                RefreshPolicy::Standard => None,
-            },
+            elastic_max_debt: (cfg.mechanism == MechanismKind::Elastic).then_some(ELASTIC_MAX_DEBT),
             observational_window: cfg.rop.as_ref().map(|r| r.observational_window),
             rows_per_subarray: cfg.dram.geometry.rows_per_subarray(),
             subarrays_per_bank: cfg.dram.geometry.subarrays_per_bank,
@@ -91,7 +89,7 @@ impl AuditorConfig {
         }
     }
 
-    /// Slack allowed past `max_refresh_postpone` before a Standard-policy
+    /// Slack allowed past `max_refresh_postpone` before a (non-Elastic)
     /// drain counts as a violation: after the deadline the controller
     /// still has to precharge every open bank in the scope (one command
     /// bus, so up to `banks` precharges each gated by up to ~tRC of bank
@@ -106,7 +104,7 @@ impl AuditorConfig {
         slots * (self.timing.t_rc + banks * (self.timing.t_rp + 1))
     }
 
-    /// Debt the Elastic policy can legitimately reach: the configured cap
+    /// Debt the Elastic mechanism can legitimately reach: the configured cap
     /// plus refreshes that fall due while a drain/refresh is in flight
     /// (debt keeps accruing during those states).
     fn elastic_debt_bound(&self, max_debt: u32) -> u64 {
@@ -186,7 +184,7 @@ struct ShadowRank {
     pending_retention: Option<(Cycle, bool, bool)>,
     /// RAIDR: cycle of the last refresh covering the 64/128/256 ms bins.
     last_cover: [Option<Cycle>; 3],
-    /// Standard-policy drain in progress: the start cycle.
+    /// Non-Elastic drain in progress: the start cycle.
     drain_since: Option<Cycle>,
     /// Profiler window replication.
     window_open: bool,
@@ -617,8 +615,8 @@ impl Auditor {
         if rank >= self.cfg.ranks {
             return;
         }
-        // Postpone bound (Standard policy: bounded drain; under Elastic
-        // the drain starts only once the policy decides to issue, and the
+        // Postpone bound (bounded drain; under Elastic the drain starts
+        // only once the mechanism decides to issue, and the
         // debt check below covers postponement instead).
         if self.cfg.elastic_max_debt.is_none() {
             if let Some(start) = self.ranks[rank].drain_since {

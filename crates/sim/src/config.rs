@@ -76,7 +76,7 @@ impl SystemKind {
             SystemKind::Rop { buffer } => {
                 MemCtrlConfig::rop(DramConfig::baseline(ranks), buffer, seed)
             }
-            SystemKind::NoRefresh => MemCtrlConfig::baseline(DramConfig::no_refresh(ranks)),
+            SystemKind::NoRefresh => MemCtrlConfig::no_refresh(DramConfig::baseline(ranks)),
             SystemKind::ElasticRefresh => MemCtrlConfig::elastic(DramConfig::baseline(ranks)),
             SystemKind::PerBankRefresh => MemCtrlConfig::per_bank(DramConfig::baseline(ranks)),
             SystemKind::RopPerBank { buffer } => {
@@ -243,11 +243,9 @@ mod tests {
             .memctrl_config(4, 0)
             .rop
             .is_some());
-        assert!(
-            !SystemKind::NoRefresh
-                .memctrl_config(1, 0)
-                .dram
-                .refresh_enabled
+        assert_eq!(
+            SystemKind::NoRefresh.memctrl_config(1, 0).mechanism,
+            rop_memctrl::MechanismKind::NoRefresh
         );
     }
 

@@ -1,25 +1,27 @@
 //! Name-addressed experiment driving.
 //!
 //! The single place mapping experiment *names* (`single`, `multi`,
-//! `llc`, the ablations, `all`) to the job sets and figure renderers of
-//! the experiment modules. `rop-sweep run` feeds it a persistent
-//! store-backed executor, `rop-sweep status` and the static linter feed
-//! it the dry [`PlanExecutor`], and both see exactly the same jobs —
-//! there is no second enumeration to drift.
+//! `llc`, the ablations, the extension studies, `all`) to the job sets
+//! and figure renderers of the experiment modules. `rop-sweep run`
+//! feeds it a persistent store-backed executor, `rop-sweep status` and
+//! the static linter feed it the dry [`PlanExecutor`], and both see
+//! exactly the same jobs — there is no second enumeration to drift.
 
 use std::collections::HashSet;
 
 use rop_trace::{ALL_BENCHMARKS, WORKLOAD_MIXES};
 
 use crate::experiments::{
-    ablate_drain_with, ablate_table_with, ablate_throttle_with, ablate_window_with,
-    run_llc_sweep_with, run_mechanisms_with, run_singlecore_with, run_tail_latency_with,
-    AblationResult, MECHANISM_BENCHMARKS,
+    ablate_drain_with, ablate_table_with, ablate_throttle_with, ablate_window_with, run_fgr_sweep,
+    run_llc_sweep_with, run_mechanisms_with, run_per_bank_study, run_policy_comparison,
+    run_singlecore_with, run_tail_latency_with, AblationResult, MECHANISM_BENCHMARKS,
 };
 use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
-/// Experiment names `run`/`resume`/`status` accept.
-pub const EXPERIMENTS: [&str; 10] = [
+/// Experiment names `run`/`resume`/`status` accept. The extension
+/// studies (`policies`, `per-bank`, `fgr`) run alone only: `all` is the
+/// paper grid.
+pub const EXPERIMENTS: [&str; 13] = [
     "single",
     "multi",
     "llc",
@@ -29,6 +31,9 @@ pub const EXPERIMENTS: [&str; 10] = [
     "ablate-throttle",
     "ablate-drain",
     "ablate-table",
+    "policies",
+    "per-bank",
+    "fgr",
     "all",
 ];
 
@@ -137,6 +142,24 @@ fn drive_experiment(
         "ablate-throttle" => ablation(&mut out, ablate_throttle_with(spec, exec)),
         "ablate-drain" => ablation(&mut out, ablate_drain_with(spec, exec)),
         "ablate-table" => ablation(&mut out, ablate_table_with(spec, exec)),
+        "policies" => {
+            let res = run_policy_comparison(spec, exec);
+            if render {
+                out.push(res.render());
+            }
+        }
+        "per-bank" => {
+            let res = run_per_bank_study(spec, exec);
+            if render {
+                out.push(res.render());
+            }
+        }
+        "fgr" => {
+            let res = run_fgr_sweep(spec, exec);
+            if render {
+                out.push(res.render());
+            }
+        }
         "all" => {
             single(&mut out);
             multi(&mut out);

@@ -15,8 +15,7 @@ use rop_trace::Benchmark;
 
 use crate::config::{SystemConfig, SystemKind};
 use crate::metrics::RunMetrics;
-use crate::runner::{parallel_map, RunSpec};
-use crate::system::System;
+use crate::runner::{RunSpec, SweepExecutor, SweepJob};
 
 /// Benchmarks used by the extension studies (the refresh-sensitive set).
 pub const EXTENSION_BENCHMARKS: [Benchmark; 4] = [
@@ -25,6 +24,35 @@ pub const EXTENSION_BENCHMARKS: [Benchmark; 4] = [
     Benchmark::GemsFDTD,
     Benchmark::CactusADM,
 ];
+
+/// Runs `systems` on every extension benchmark through `exec` and
+/// groups the metrics per benchmark, in `systems` order.
+fn run_grid(
+    prefix: &str,
+    systems: &[SystemKind],
+    spec: RunSpec,
+    exec: &dyn SweepExecutor,
+) -> Vec<(&'static str, Vec<RunMetrics>)> {
+    let jobs = EXTENSION_BENCHMARKS
+        .iter()
+        .flat_map(|&b| {
+            systems
+                .iter()
+                .map(move |&k| SweepJob::single(prefix, b, k, spec))
+        })
+        .collect();
+    per_benchmark(exec.execute(jobs), systems.len())
+}
+
+/// Splits benchmark-major metrics into one row of `per` cells per
+/// extension benchmark.
+fn per_benchmark(metrics: Vec<RunMetrics>, per: usize) -> Vec<(&'static str, Vec<RunMetrics>)> {
+    EXTENSION_BENCHMARKS
+        .iter()
+        .zip(metrics.chunks(per))
+        .map(|(b, ms)| (b.name(), ms.to_vec()))
+        .collect()
+}
 
 /// Result of the refresh-policy comparison.
 #[derive(Debug, Clone)]
@@ -41,29 +69,12 @@ pub const POLICY_SYSTEMS: [SystemKind; 4] = [
     SystemKind::NoRefresh,
 ];
 
-/// Runs the policy comparison on the extension benchmarks.
-pub fn run_policy_comparison(spec: RunSpec) -> PolicyComparison {
-    let mut items = Vec::new();
-    for &b in &EXTENSION_BENCHMARKS {
-        for &k in &POLICY_SYSTEMS {
-            items.push((b, k));
-        }
+/// Runs the policy comparison on the extension benchmarks through
+/// `exec`.
+pub fn run_policy_comparison(spec: RunSpec, exec: &dyn SweepExecutor) -> PolicyComparison {
+    PolicyComparison {
+        rows: run_grid("policies", &POLICY_SYSTEMS, spec, exec),
     }
-    let metrics = parallel_map(items, |&(b, k)| {
-        let mut sys = System::new(SystemConfig::single_core(b, k, spec.seed));
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let rows = EXTENSION_BENCHMARKS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.name(),
-                metrics[i * POLICY_SYSTEMS.len()..(i + 1) * POLICY_SYSTEMS.len()].to_vec(),
-            )
-        })
-        .collect();
-    PolicyComparison { rows }
 }
 
 impl PolicyComparison {
@@ -97,46 +108,35 @@ pub struct FgrSweep {
 /// FGR modes swept (refresh-interval divisor).
 pub const FGR_MODES: [u32; 3] = [1, 2, 4];
 
-/// Runs 1x/2x/4x refresh granularity, each without and with ROP.
-pub fn run_fgr_sweep(spec: RunSpec) -> FgrSweep {
+/// Runs 1x/2x/4x refresh granularity, each without and with ROP,
+/// through `exec`.
+pub fn run_fgr_sweep(spec: RunSpec, exec: &dyn SweepExecutor) -> FgrSweep {
     use rop_dram::TimingParams;
-    let mut items = Vec::new();
+    let mut jobs = Vec::new();
     for &b in &EXTENSION_BENCHMARKS {
         for &mode in &FGR_MODES {
-            for rop in [false, true] {
-                items.push((b, mode, rop));
+            for kind in [SystemKind::Baseline, SystemKind::Rop { buffer: 64 }] {
+                let mut cfg = SystemConfig::single_core(b, kind, spec.seed);
+                let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
+                ctrl.dram.timing = match mode {
+                    1 => TimingParams::ddr4_1600_8gb(),
+                    2 => TimingParams::ddr4_1600_8gb_fgr2x(),
+                    _ => TimingParams::ddr4_1600_8gb_fgr4x(),
+                };
+                if let Some(rc) = ctrl.rop.as_mut() {
+                    // Keep ROP's windows consistent with the shrunken tRFC.
+                    rc.observational_window = ctrl.dram.timing.t_rfc();
+                    rc.refresh_period = ctrl.dram.timing.t_rfc();
+                }
+                cfg.ctrl_override = Some(ctrl);
+                let label = format!("fgr/{}/{mode}x/{}", b.name(), kind.label());
+                jobs.push(SweepJob::custom(label, cfg, spec));
             }
         }
     }
-    let metrics = parallel_map(items, |&(b, mode, rop)| {
-        let kind = if rop {
-            SystemKind::Rop { buffer: 64 }
-        } else {
-            SystemKind::Baseline
-        };
-        let mut cfg = SystemConfig::single_core(b, kind, spec.seed);
-        let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
-        ctrl.dram.timing = match mode {
-            1 => TimingParams::ddr4_1600_8gb(),
-            2 => TimingParams::ddr4_1600_8gb_fgr2x(),
-            _ => TimingParams::ddr4_1600_8gb_fgr4x(),
-        };
-        if let Some(rc) = ctrl.rop.as_mut() {
-            // Keep ROP's windows consistent with the shrunken tRFC.
-            rc.observational_window = ctrl.dram.timing.t_rfc();
-            rc.refresh_period = ctrl.dram.timing.t_rfc();
-        }
-        cfg.ctrl_override = Some(ctrl);
-        let mut sys = System::new(cfg);
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let per = FGR_MODES.len() * 2;
-    let rows = EXTENSION_BENCHMARKS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.name(), metrics[i * per..(i + 1) * per].to_vec()))
-        .collect();
-    FgrSweep { rows }
+    FgrSweep {
+        rows: per_benchmark(exec.execute(jobs), FGR_MODES.len() * 2),
+    }
 }
 
 impl FgrSweep {
@@ -181,30 +181,13 @@ pub const PER_BANK_SYSTEMS: [SystemKind; 5] = [
     SystemKind::NoRefresh,
 ];
 
-/// Runs the §VII future-work study: does refresh-oriented prefetching
-/// still pay off when refresh granularity shrinks to a single bank?
-pub fn run_per_bank_study(spec: RunSpec) -> PerBankStudy {
-    let mut items = Vec::new();
-    for &b in &EXTENSION_BENCHMARKS {
-        for &k in &PER_BANK_SYSTEMS {
-            items.push((b, k));
-        }
+/// Runs the §VII future-work study through `exec`: does
+/// refresh-oriented prefetching still pay off when refresh granularity
+/// shrinks to a single bank?
+pub fn run_per_bank_study(spec: RunSpec, exec: &dyn SweepExecutor) -> PerBankStudy {
+    PerBankStudy {
+        rows: run_grid("per-bank", &PER_BANK_SYSTEMS, spec, exec),
     }
-    let metrics = parallel_map(items, |&(b, k)| {
-        let mut sys = System::new(SystemConfig::single_core(b, k, spec.seed));
-        sys.run_until(spec.instructions, spec.max_cycles)
-    });
-    let rows = EXTENSION_BENCHMARKS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            (
-                b.name(),
-                metrics[i * PER_BANK_SYSTEMS.len()..(i + 1) * PER_BANK_SYSTEMS.len()].to_vec(),
-            )
-        })
-        .collect();
-    PerBankStudy { rows }
 }
 
 impl PerBankStudy {
@@ -232,6 +215,7 @@ impl PerBankStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::System;
 
     #[test]
     fn elastic_system_runs_and_refreshes() {

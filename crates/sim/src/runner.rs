@@ -263,29 +263,38 @@ impl SweepJob {
     /// `token.cancel()` — the seam a watchdog uses to reclaim hung
     /// jobs.
     pub fn run_with(&self, token: Arc<CancelToken>) -> RunMetrics {
-        with_panic_label(&self.label, || {
-            if let Err(e) = self.config.validate() {
-                // Documented contract: run() panics with the job label so
-                // the pool can record a labeled failure.
-                panic!("invalid config: {e}"); // rop-lint: allow(no-panic)
+        with_panic_label(&self.label, || self.simulate(Some(token)))
+    }
+
+    /// The one run body every executor shares: validate, dispatch to the
+    /// open-loop injector or the closed-loop core pipeline, attach the
+    /// auditor when asked, and beat `token` when one is given.
+    fn simulate(&self, token: Option<Arc<CancelToken>>) -> RunMetrics {
+        if let Err(e) = self.config.validate() {
+            // Documented contract: runs panic (under the job label) so
+            // the pool can record a labeled failure.
+            panic!("invalid config: {e}"); // rop-lint: allow(no-panic)
+        }
+        if self.config.open_loop.is_some() {
+            // Open-loop jobs run the datacenter-traffic injector instead
+            // of the trace-driven core pipeline.
+            let mut sys = crate::OpenLoopSystem::new(self.config.clone());
+            if let Some(token) = token {
+                sys.set_cancel_token(token);
             }
-            if self.config.open_loop.is_some() {
-                // Open-loop jobs run the datacenter-traffic injector
-                // instead of the trace-driven core pipeline.
-                let mut sys = crate::OpenLoopSystem::new(self.config.clone());
-                sys.set_cancel_token(token.clone());
-                if self.audit {
-                    sys.enable_audit();
-                }
-                return sys.run();
-            }
-            let mut sys = System::new(self.config.clone());
-            sys.set_cancel_token(token.clone());
             if self.audit {
                 sys.enable_audit();
             }
-            sys.run_until(self.spec.instructions, self.spec.max_cycles)
-        })
+            return sys.run();
+        }
+        let mut sys = System::new(self.config.clone());
+        if let Some(token) = token {
+            sys.set_cancel_token(token);
+        }
+        if self.audit {
+            sys.enable_audit();
+        }
+        sys.run_until(self.spec.instructions, self.spec.max_cycles)
     }
 
     /// Zeroed metrics shaped like this job's output (right core count
@@ -385,27 +394,7 @@ pub struct LocalExecutor;
 
 impl SweepExecutor for LocalExecutor {
     fn execute(&self, jobs: Vec<SweepJob>) -> Vec<RunMetrics> {
-        parallel_map_labeled(
-            jobs,
-            |j| Some(j.label.clone()),
-            |j| {
-                if let Err(e) = j.config.validate() {
-                    panic!("invalid config: {e}"); // rop-lint: allow(no-panic)
-                }
-                if j.config.open_loop.is_some() {
-                    let mut sys = crate::OpenLoopSystem::new(j.config.clone());
-                    if j.audit {
-                        sys.enable_audit();
-                    }
-                    return sys.run();
-                }
-                let mut sys = System::new(j.config.clone());
-                if j.audit {
-                    sys.enable_audit();
-                }
-                sys.run_until(j.spec.instructions, j.spec.max_cycles)
-            },
-        )
+        parallel_map_labeled(jobs, |j| Some(j.label.clone()), |j| j.simulate(None))
     }
 }
 

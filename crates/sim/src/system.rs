@@ -336,7 +336,7 @@ impl System {
             total_cycles,
             energy,
             refreshes,
-            mechanism: self.ctrl.mechanism().label().to_string(),
+            mechanism: self.ctrl.config().mechanism.label().to_string(),
             refresh_blocked_cycles: stats.refresh_blocked_cycles,
             refreshes_skipped: self.ctrl.refreshes_skipped(),
             refreshes_pulled_in: self.ctrl.refreshes_pulled_in(),

@@ -95,10 +95,10 @@ fn ablation_tables_render_from_quick_run() {
 
 #[test]
 fn extension_studies_render_from_quick_run() {
-    let policies = run_policy_comparison(spec()).render();
+    let policies = run_policy_comparison(spec(), &LocalExecutor).render();
     assert!(policies.contains("libquantum"), "{policies}");
-    let fgr = run_fgr_sweep(spec()).render();
+    let fgr = run_fgr_sweep(spec(), &LocalExecutor).render();
     assert!(fgr.contains("libquantum"), "{fgr}");
-    let per_bank = run_per_bank_study(spec()).render();
+    let per_bank = run_per_bank_study(spec(), &LocalExecutor).render();
     assert!(per_bank.contains("libquantum"), "{per_bank}");
 }
