@@ -88,6 +88,10 @@ struct Queued {
     /// True once an ACT has been issued on behalf of this request (used
     /// for the row-buffer-hit statistic).
     acted: bool,
+    /// True while the request's id is in its slot's drain set — set
+    /// and reset for the slot's requests at each drain snapshot, so the
+    /// scheduler's membership test is a field read, not a set scan.
+    in_drain: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,14 +123,10 @@ struct RopState {
     latency: Cycle,
 }
 
-/// Reusable per-tick scratch buffers. The scheduling loop runs every
-/// simulated command-bus cycle; taking these out of the controller,
-/// filling them, and putting them back keeps the steady-state hot path
-/// allocation-free (capacities are retained across ticks).
 /// One scheduling candidate, fully materialised at candidate-build time
 /// so the scheduler's sort/scan passes run over plain contiguous memory
 /// instead of chasing back into the request queues on every comparison.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cand {
     /// 0 = draining-rank demand, 1 = regular, 2 = ROP prefetch.
     tier: u8,
@@ -142,6 +142,75 @@ struct Cand {
     hit: bool,
 }
 
+impl Cand {
+    /// FR-FCFS priority: tier first, then age. Smaller is served first.
+    #[inline]
+    fn key(&self) -> (u8, Cycle) {
+        (self.tier, self.arrival)
+    }
+}
+
+/// Candidate-list length above which the scheduler picks by linear
+/// scan instead of sorting. Short lists sort cheaply, and the sorted
+/// walk stops at the first ready candidate where the linear pick
+/// probes every one. Set by measurement: short single-core sweep jobs
+/// never exceed this length and keep the walk, while the open-loop
+/// knee (~100 candidates) gains as much at this crossover as with none.
+const LINEAR_PICK_MIN_CANDS: usize = 24;
+
+/// Running result of a linear pick pass: the ready candidate with the
+/// smallest key, whether another ready candidate shares that key, and
+/// the earliest issue cycle among the candidates not yet ready.
+#[derive(Debug)]
+struct OldestReady {
+    best: Option<Cand>,
+    tied: bool,
+    earliest: Cycle,
+}
+
+impl Default for OldestReady {
+    fn default() -> Self {
+        OldestReady {
+            best: None,
+            tied: false,
+            earliest: Cycle::MAX,
+        }
+    }
+}
+
+impl OldestReady {
+    /// Folds in candidate `c`, whose next command can issue at `e`.
+    #[inline]
+    fn offer(&mut self, c: Cand, e: Cycle, now: Cycle) {
+        if e > now {
+            self.earliest = self.earliest.min(e);
+            return;
+        }
+        match self.best {
+            Some(b) if b.key() < c.key() => {}
+            Some(b) if b.key() == c.key() => self.tied = true,
+            _ => {
+                self.best = Some(c);
+                self.tied = false;
+            }
+        }
+    }
+
+    /// The pass's answer: the oldest ready candidate, or `Err(earliest)`
+    /// when none is ready; `None` when the oldest ready key is shared.
+    fn pick(self) -> Option<Result<Cand, Cycle>> {
+        match self.best {
+            None => Some(Err(self.earliest)),
+            Some(_) if self.tied => None,
+            Some(b) => Some(Ok(b)),
+        }
+    }
+}
+
+/// Reusable per-tick scratch buffers. The scheduling loop runs every
+/// simulated command-bus cycle; taking these out of the controller,
+/// filling them, and putting them back keeps the steady-state hot path
+/// allocation-free (capacities are retained across ticks).
 #[derive(Debug, Default)]
 struct TickScratch {
     /// FR-FCFS candidates, in queue order.
@@ -158,6 +227,10 @@ struct TickScratch {
     /// Per-bank "already owns a candidate" flags, indexed by the
     /// flattened bank key; cleared at the start of every per-bank pass.
     seen_banks: Vec<bool>,
+    /// Linear per-bank pass: index into `cands` of each bank's oldest
+    /// candidate (`usize::MAX` for none), and whether another candidate
+    /// of that bank shares its key.
+    bank_oldest: Vec<(usize, bool)>,
     /// Refresh slots reported by the manager this tick.
     slots: Vec<usize>,
     /// Per-slot SARP scope: the subarray a slot's refresh round locks
@@ -189,6 +262,7 @@ impl TickScratch {
             hits: Vec::with_capacity(queue_cap),
             ordered: Vec::with_capacity(queue_cap),
             seen_banks: vec![false; banks],
+            bank_oldest: vec![(usize::MAX, false); banks],
             slots: Vec::with_capacity(slots),
             sa_scope: Vec::with_capacity(slots),
             debts: Vec::with_capacity(slots),
@@ -235,7 +309,10 @@ pub struct MemController {
     /// (buffer key, fill-ready cycle) for prefetch data in flight.
     pending_fills: Vec<(u64, Cycle)>,
     completions: Vec<Completion>,
-    /// Per-rank drain sets: ids that must issue before the rank's REF.
+    /// Per-slot drain sets: ids that must issue before the slot's REF.
+    /// Membership is mirrored in `Queued::in_drain`; the lists serve
+    /// the emptiness test of `demand_drained`, where ids of reads later
+    /// served from SRAM still count until the next snapshot.
     drain_sets: Vec<Vec<u64>>,
     rop: Option<RopState>,
     analysis: Vec<RefreshAnalysis>,
@@ -255,6 +332,9 @@ pub struct MemController {
     /// Ids of reads observed blocked by refresh since the last drain
     /// (may contain duplicates; consumers dedup).
     blocked_ids: Vec<u64>,
+    /// `ROP_DEBUG` was set at construction: log prefetch generation,
+    /// REF issue and blocked-read sweeps to stderr.
+    rop_debug: bool,
 }
 
 impl MemController {
@@ -340,6 +420,7 @@ impl MemController {
             next_id: 0,
             track_blocked: false,
             blocked_ids: Vec::new(),
+            rop_debug: std::env::var_os("ROP_DEBUG").is_some(),
             stats: MemCtrlStats::default(),
             trace: TraceBuffer::new(),
             scratch: TickScratch::with_bounds(
@@ -420,6 +501,17 @@ impl MemController {
     /// next thaw); consumers dedup.
     pub fn drain_refresh_blocked_into(&mut self, out: &mut Vec<u64>) {
         out.append(&mut self.blocked_ids);
+    }
+
+    /// True when a refused read still changes simulated state: with a
+    /// ROP buffer, `enqueue_read` probes the SRAM (and may serve the
+    /// line without a queue slot) and counts frozen-cycle lookups that
+    /// feed ROP's phase decisions. Without one, a refused enqueue only
+    /// bumps a refusal counter and can succeed only after `tick` issues
+    /// a command, so the caller may wait for the tick hint instead of
+    /// re-offering every cycle.
+    pub fn refused_reads_have_effects(&self) -> bool {
+        self.rop.is_some()
     }
 
     /// Number of refresh slots: ranks (all-bank mode) or rank×bank pairs
@@ -667,6 +759,7 @@ impl MemController {
                 is_prefetch: false,
             },
             acted: false,
+            in_drain: false,
         });
         Some(id)
     }
@@ -692,6 +785,7 @@ impl MemController {
                 is_prefetch: false,
             },
             acted: false,
+            in_drain: false,
         });
         self.stats.writes_accepted += 1;
         true
@@ -948,7 +1042,9 @@ impl MemController {
             // scope (rank, or single bank in per-bank mode; under SARP
             // only the refreshing subarray needs to drain — the rest of
             // the bank keeps flowing through the refresh). The slot's
-            // Vec is refilled in place, keeping its capacity.
+            // Vec is refilled in place, keeping its capacity, and every
+            // request of the slot has its `in_drain` flag set or reset
+            // to match.
             let sa_filter = match shape {
                 RoundShape::Subarray { subarray } => Some(subarray),
                 _ => None,
@@ -956,11 +1052,13 @@ impl MemController {
             let geom = self.cfg.dram.geometry;
             let set = &mut self.drain_sets[slot];
             set.clear();
-            for q in self.read_q.iter().chain(self.write_q.iter()) {
-                if slot_of(scope, banks, &q.req.addr) == slot
-                    && sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa)
-                {
-                    set.push(q.req.id);
+            for q in self.read_q.iter_mut().chain(self.write_q.iter_mut()) {
+                if slot_of(scope, banks, &q.req.addr) == slot {
+                    q.in_drain =
+                        sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa);
+                    if q.in_drain {
+                        set.push(q.req.id);
+                    }
                 }
             }
 
@@ -1040,7 +1138,7 @@ impl MemController {
             ),
             None => rop.engines[rank].generate_candidates(now, grace),
         };
-        if std::env::var_os("ROP_DEBUG").is_some() {
+        if self.rop_debug {
             let banks = self.cfg.dram.geometry.banks_per_rank;
             let mut per_bank = vec![0usize; banks];
             let mut ranges: Vec<(u64, u64)> = vec![(u64::MAX, 0); banks];
@@ -1072,6 +1170,7 @@ impl MemController {
                     is_prefetch: true,
                 },
                 acted: false,
+                in_drain: false,
             });
             self.stats.prefetches_issued += 1;
         }
@@ -1252,7 +1351,7 @@ impl MemController {
                         self.prefetch_q
                             .retain(|q| slot_of(scope, banks, &q.req.addr) != slot);
                         self.stats.prefetches_dropped += (before - self.prefetch_q.len()) as u64;
-                        if std::env::var_os("ROP_DEBUG").is_some() {
+                        if self.rop_debug {
                             eprintln!(
                                     "[rop] t={now} slot={slot} REF: buffer={} pending_fills={} dropped={}",
                                     rop.buffer.len(),
@@ -1299,7 +1398,7 @@ impl MemController {
             self.scratch.blocked = blocked;
             return;
         }
-        if std::env::var_os("ROP_DEBUG").is_some() {
+        if self.rop_debug {
             let lpr = self.cfg.dram.geometry.lines_per_row;
             let preview: Vec<_> = self
                 .read_q
@@ -1437,6 +1536,19 @@ impl MemController {
 
     // rop-lint: hot
     fn schedule_with(&mut self, now: Cycle, s: &mut TickScratch) -> Result<(), Cycle> {
+        self.build_candidates(now, s);
+        if s.cands.is_empty() {
+            return Err(Cycle::MAX);
+        }
+        let c = self.pick(now, s)?;
+        self.issue_for(c.kind, c.idx, now);
+        Ok(())
+    }
+
+    /// Fills `s.cands` with every request the admission gates let
+    /// compete at `now`, in queue order (prefetch, read, write).
+    // rop-lint: hot
+    fn build_candidates(&self, now: Cycle, s: &mut TickScratch) {
         // Tier 0: draining-rank demand (must issue before its REF);
         // tier 1: regular traffic; tier 2: ROP prefetches — strictly
         // opportunistic, they only get bus slots no demand request can
@@ -1444,10 +1556,10 @@ impl MemController {
         // requests").
         //
         // Candidates are materialised once — tier, arrival, bank key
-        // and row-hit flag — so the three passes below sort and scan
+        // and row-hit flag — so the passes of `pick` sort and scan
         // plain arrays without re-deriving keys through the queues on
-        // every comparison. Nothing mutates controller state until a
-        // command actually issues (at which point we return), so the
+        // every comparison. `pick` only probes; nothing mutates
+        // controller state until the picked command issues, so the
         // snapshot stays valid for the whole call.
         s.cands.clear();
         s.draining.clear();
@@ -1482,7 +1594,7 @@ impl MemController {
         let serve_writes = self.write_drain || self.read_q.is_empty();
         for (i, q) in self.read_q.iter().enumerate() {
             let slot = self.addr_slot(&q.req.addr);
-            let in_set = self.drain_sets[slot].contains(&q.req.id);
+            let in_set = q.in_drain;
             let gated = if in_set {
                 s.gates[slot].1
             } else {
@@ -1497,7 +1609,7 @@ impl MemController {
         }
         for (i, q) in self.write_q.iter().enumerate() {
             let slot = self.addr_slot(&q.req.addr);
-            let in_set = self.drain_sets[slot].contains(&q.req.id);
+            let in_set = q.in_drain;
             let gated = if in_set {
                 s.gates[slot].1
             } else {
@@ -1516,59 +1628,147 @@ impl MemController {
             s.cands
                 .push(self.materialize(tier, QueueKind::Write, i, q, banks));
         }
+    }
 
-        if s.cands.is_empty() {
-            return Err(Cycle::MAX);
-        }
-
+    /// Chooses the candidate whose next command issues this cycle, or
+    /// `Err(earliest)` when none is ready. Side-effect free: every pass
+    /// only probes ([`Self::probe`]); the caller issues the pick.
+    ///
+    /// Each pass has two exact implementations. The sorted walk orders
+    /// candidates by `(tier, arrival)` with `sort_unstable` and takes
+    /// the first ready one. On long lists the linear pick probes every
+    /// candidate once and takes the oldest ready one instead — the same
+    /// answer whenever that candidate's key is unique. When it is not,
+    /// the sort's placement of equal keys decides, so the linear pick
+    /// defers (`None`) to the walk. Debug builds check every linear
+    /// pick against the walk.
+    // rop-lint: hot
+    fn pick(&self, now: Cycle, s: &mut TickScratch) -> Result<Cand, Cycle> {
         let mut earliest = Cycle::MAX;
 
         // Pass 0: starvation guard — serve the oldest over-age request.
-        let oldest = s.cands.iter().min_by_key(|c| (c.tier, c.arrival)).copied();
+        let oldest = s.cands.iter().min_by_key(|c| c.key()).copied();
         if let Some(c) = oldest {
             if self.queued(c.kind, c.idx).req.age(now) > self.cfg.age_cap {
-                match self.issue_for(c.kind, c.idx, now) {
-                    Ok(()) => return Ok(()),
-                    Err(e) => earliest = earliest.min(e),
+                let e = self.probe(c.kind, c.idx, now);
+                if e <= now {
+                    return Ok(c);
                 }
+                earliest = earliest.min(e);
             }
         }
 
+        let linear = s.cands.len() > LINEAR_PICK_MIN_CANDS;
+
         // Pass 1: ready row-hit column commands, tier then age order.
-        s.hits.clear();
-        for c in s.cands.iter().filter(|c| c.hit) {
-            s.hits.push(*c);
-        }
-        s.hits.sort_unstable_by_key(|c| (c.tier, c.arrival));
-        for i in 0..s.hits.len() {
-            let c = s.hits[i];
-            match self.issue_for(c.kind, c.idx, now) {
-                Ok(()) => return Ok(()),
-                Err(e) => earliest = earliest.min(e),
+        let hit = match linear.then(|| self.pick_hit_linear(now, s)).flatten() {
+            Some(p) => {
+                debug_assert_eq!(p, self.pick_hit_sorted(now, s), "row-hit pass");
+                p
             }
+            None => self.pick_hit_sorted(now, s),
+        };
+        match hit {
+            Ok(c) => return Ok(c),
+            Err(e) => earliest = earliest.min(e),
         }
 
         // Pass 2: oldest request per bank drives PRE/ACT (or its column
-        // command once the row opens). Bank keys were frozen into the
-        // candidates up front, so the dedup flags are independent of
-        // anything a failed issue attempt could touch and the issue
-        // loop folds into the dedup scan.
+        // command once the row opens).
+        let per_bank = match linear.then(|| self.pick_bank_linear(now, s)).flatten() {
+            Some(p) => {
+                debug_assert_eq!(p, self.pick_bank_sorted(now, s), "per-bank pass");
+                p
+            }
+            None => self.pick_bank_sorted(now, s),
+        };
+        per_bank.map_err(|e| earliest.min(e))
+    }
+
+    /// Pass 1 by sorted walk: row hits in key order, first ready wins.
+    // rop-lint: hot
+    fn pick_hit_sorted(&self, now: Cycle, s: &mut TickScratch) -> Result<Cand, Cycle> {
+        s.hits.clear();
+        s.hits.extend(s.cands.iter().filter(|c| c.hit));
+        s.hits.sort_unstable_by_key(Cand::key);
+        let mut earliest = Cycle::MAX;
+        for c in &s.hits {
+            let e = self.probe(c.kind, c.idx, now);
+            if e <= now {
+                return Ok(*c);
+            }
+            earliest = earliest.min(e);
+        }
+        Err(earliest)
+    }
+
+    /// Pass 1 by linear scan: probe every row hit, take the oldest
+    /// ready one. `None` when another ready hit shares its key.
+    // rop-lint: hot
+    fn pick_hit_linear(&self, now: Cycle, s: &TickScratch) -> Option<Result<Cand, Cycle>> {
+        let mut oldest = OldestReady::default();
+        for c in s.cands.iter().filter(|c| c.hit) {
+            oldest.offer(*c, self.probe(c.kind, c.idx, now), now);
+        }
+        oldest.pick()
+    }
+
+    /// Pass 2 by sorted walk: the first candidate of each bank in key
+    /// order represents it; the first ready representative wins. Bank
+    /// keys were frozen into the candidates up front, so the dedup
+    /// flags are independent of anything a probe could see.
+    // rop-lint: hot
+    fn pick_bank_sorted(&self, now: Cycle, s: &mut TickScratch) -> Result<Cand, Cycle> {
         s.ordered.clear();
         s.ordered.extend_from_slice(&s.cands);
-        s.ordered.sort_unstable_by_key(|c| (c.tier, c.arrival));
+        s.ordered.sort_unstable_by_key(Cand::key);
         s.seen_banks.fill(false);
-        for i in 0..s.ordered.len() {
-            let c = s.ordered[i];
+        let mut earliest = Cycle::MAX;
+        for c in &s.ordered {
             if std::mem::replace(&mut s.seen_banks[c.bank as usize], true) {
                 continue;
             }
-            match self.issue_for(c.kind, c.idx, now) {
-                Ok(()) => return Ok(()),
-                Err(e) => earliest = earliest.min(e),
+            let e = self.probe(c.kind, c.idx, now);
+            if e <= now {
+                return Ok(*c);
+            }
+            earliest = earliest.min(e);
+        }
+        Err(earliest)
+    }
+
+    /// Pass 2 by linear scan: find each bank's oldest candidate, probe
+    /// those, take the oldest ready one. `None` when a bank's oldest key
+    /// is shared within the bank, or the winner's key by another ready
+    /// representative.
+    // rop-lint: hot
+    fn pick_bank_linear(&self, now: Cycle, s: &mut TickScratch) -> Option<Result<Cand, Cycle>> {
+        s.bank_oldest.fill((usize::MAX, false));
+        for (j, c) in s.cands.iter().enumerate() {
+            let entry = &mut s.bank_oldest[c.bank as usize];
+            if entry.0 == usize::MAX {
+                *entry = (j, false);
+                continue;
+            }
+            let held = s.cands[entry.0].key();
+            if c.key() < held {
+                *entry = (j, false);
+            } else if c.key() == held {
+                entry.1 = true;
             }
         }
-
-        Err(earliest)
+        let mut oldest = OldestReady::default();
+        for &(j, bank_tied) in &s.bank_oldest {
+            if j == usize::MAX {
+                continue;
+            }
+            if bank_tied {
+                return None;
+            }
+            let c = s.cands[j];
+            oldest.offer(c, self.probe(c.kind, c.idx, now), now);
+        }
+        oldest.pick()
     }
 
     /// Builds the materialised scheduling snapshot for one queued
@@ -1596,38 +1796,47 @@ impl MemController {
         }
     }
 
-    /// Issues the next command required by request `(kind, i)`. `Ok(())`
-    /// when a command was issued (column commands also retire the
-    /// request); `Err(earliest)` when timing forbids issuing now.
+    /// The next command request `(kind, i)` needs: its column command
+    /// when its row is open, PRE on a row conflict, ACT on a closed
+    /// bank.
     // rop-lint: hot
-    fn issue_for(&mut self, kind: QueueKind, i: usize, now: Cycle) -> Result<(), Cycle> {
-        let req = self.queued(kind, i).req;
-        let (rank, bank, row, col) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
+    #[inline]
+    fn next_command(&self, kind: QueueKind, i: usize) -> Command {
+        let req = &self.queued(kind, i).req;
+        let (rank, bank, row, column) = (req.addr.rank, req.addr.bank, req.addr.row, req.addr.col);
         match self.device.open_row(rank, bank) {
-            Some(open) if open == row => {
-                // Column command.
-                let cmd = if req.is_write {
-                    Command::Write {
-                        rank,
-                        bank,
-                        column: col,
-                    }
-                } else {
-                    Command::Read {
-                        rank,
-                        bank,
-                        column: col,
-                    }
-                };
-                let e = self
-                    .device
-                    .earliest_issue(&cmd, now)
-                    .expect("row open, column command must be structurally legal");
-                if e > now {
-                    return Err(e);
-                }
-                let outcome = self.device.issue(&cmd, now);
-                let acted = self.queued(kind, i).acted;
+            Some(open) if open == row && req.is_write => Command::Write { rank, bank, column },
+            Some(open) if open == row => Command::Read { rank, bank, column },
+            Some(_) => Command::Precharge { rank, bank },
+            None => Command::Activate { rank, bank, row },
+        }
+    }
+
+    /// Earliest cycle the next command of request `(kind, i)` can issue;
+    /// `Cycle::MAX` when an ACT is structurally illegal (its scope is
+    /// refreshing). Side-effect free.
+    // rop-lint: hot
+    fn probe(&self, kind: QueueKind, i: usize, now: Cycle) -> Cycle {
+        let cmd = self.next_command(kind, i);
+        let earliest = self.device.earliest_issue(&cmd, now);
+        if matches!(cmd, Command::Activate { .. }) {
+            earliest.unwrap_or(Cycle::MAX)
+        } else {
+            earliest.expect("an open bank takes its column command or PRE")
+        }
+    }
+
+    /// Issues the next command of request `(kind, i)`, which the caller
+    /// has probed ready at `now` (column commands also retire the
+    /// request).
+    // rop-lint: hot
+    fn issue_for(&mut self, kind: QueueKind, i: usize, now: Cycle) {
+        debug_assert!(self.probe(kind, i, now) <= now, "issued before ready");
+        let cmd = self.next_command(kind, i);
+        let outcome = self.device.issue(&cmd, now);
+        let Queued { req, acted, .. } = *self.queued(kind, i);
+        match cmd {
+            Command::Read { rank, bank, .. } | Command::Write { rank, bank, .. } => {
                 if !req.is_prefetch {
                     self.stats.row_buffer.record(!acted);
                     if !req.is_write {
@@ -1641,34 +1850,9 @@ impl MemController {
                     }
                 }
                 self.retire(kind, i, outcome.data_at.expect("column command"), now);
-                Ok(())
             }
-            Some(_) => {
-                // Row conflict: precharge.
-                let cmd = Command::Precharge { rank, bank };
-                let e = self
-                    .device
-                    .earliest_issue(&cmd, now)
-                    .expect("open bank must be prechargeable");
-                if e > now {
-                    return Err(e);
-                }
-                self.device.issue(&cmd, now);
-                Ok(())
-            }
-            None => {
-                // Closed bank: activate.
-                let cmd = Command::Activate { rank, bank, row };
-                match self.device.earliest_issue(&cmd, now) {
-                    Ok(e) if e <= now => {
-                        self.device.issue(&cmd, now);
-                        self.mark_acted(kind, i);
-                        Ok(())
-                    }
-                    Ok(e) => Err(e),
-                    Err(_) => Err(Cycle::MAX),
-                }
-            }
+            Command::Activate { .. } => self.mark_acted(kind, i),
+            _ => {}
         }
     }
 
@@ -1692,10 +1876,12 @@ impl MemController {
         };
         let req = q.req;
         // Remove from the slot's drain set if present.
-        let slot = self.addr_slot(&req.addr);
-        let set = &mut self.drain_sets[slot];
-        if let Some(pos) = set.iter().position(|&id| id == req.id) {
-            set.swap_remove(pos);
+        if q.in_drain {
+            let slot = self.addr_slot(&req.addr);
+            let set = &mut self.drain_sets[slot];
+            if let Some(pos) = set.iter().position(|&id| id == req.id) {
+                set.swap_remove(pos);
+            }
         }
         match kind {
             QueueKind::Read => {
@@ -2024,5 +2210,47 @@ mod tests {
         assert!(e.read_nj > 0.0);
         assert!(e.act_pre_nj > 0.0);
         assert!(e.background_nj > 0.0);
+    }
+
+    /// Forty reads into one bank, all arriving in the same cycle: every
+    /// candidate shares one `(tier, arrival)` key, so the linear pick
+    /// must defer to the sorted walk — in the per-bank pass while the
+    /// bank is closed, and in the row-hit pass once a row holding
+    /// several of them opens. Every linear pick that does not defer is
+    /// checked against the walk by the debug cross-check in `pick`.
+    #[test]
+    fn same_cycle_same_bank_ties_fall_back_to_the_sorted_walk() {
+        let mut c = baseline_1rank();
+        // Four rows of bank 0, ten columns each.
+        let lines: Vec<u64> = (0..1u64 << 20)
+            .filter(|&l| {
+                let a = c.mapping().decode(l);
+                a.bank == 0 && a.row < 4 && a.col < 10
+            })
+            .collect();
+        assert_eq!(lines.len(), 40);
+        for &l in &lines {
+            c.enqueue_read(l, 0, 0).expect("queue has room");
+        }
+
+        let (mut hit_ties, mut bank_ties) = (0, 0);
+        let mut now = 0;
+        while c.stats().reads_completed < 40 {
+            assert!(now < 20_000, "reads starved");
+            let mut s = TickScratch::with_bounds(128, 1, 8);
+            c.build_candidates(now, &mut s);
+            if s.cands.len() > LINEAR_PICK_MIN_CANDS {
+                hit_ties += usize::from(c.pick_hit_linear(now, &s).is_none());
+                bank_ties += usize::from(c.pick_bank_linear(now, &mut s).is_none());
+            }
+            now = c.tick(now);
+        }
+        assert!(bank_ties > 0, "per-bank tie never reached the fallback");
+        assert!(hit_ties > 0, "row-hit tie never reached the fallback");
+        // Served oldest-first within the tie by the walk: every read
+        // completed, none twice.
+        let mut ids: Vec<u64> = c.take_completions().iter().map(|x| x.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..40).collect::<Vec<_>>());
     }
 }

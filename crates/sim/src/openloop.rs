@@ -19,11 +19,22 @@
 //!   the same isolation contrast the closed-loop multicore runs use.
 //! * Arrivals from all tenants merge into one FIFO frontend backlog in
 //!   `(arrival cycle, tenant)` order. The head of the backlog is
-//!   offered to the controller every cycle; when the controller refuses
-//!   (queue full), the backlog grows — there is no back-pressure on the
-//!   generators. Latency is measured from the *scheduled arrival*, so
-//!   backlog wait counts toward the tail, exactly like a datacenter SLO
-//!   clock that starts when the request hits the front-end.
+//!   offered to the controller as soon as it can be accepted; when the
+//!   controller refuses (queue full), the backlog grows — there is no
+//!   back-pressure on the generators. Latency is measured from the
+//!   *scheduled arrival*, so backlog wait counts toward the tail,
+//!   exactly like a datacenter SLO clock that starts when the request
+//!   hits the front-end.
+//! * The loop is event-driven: it wakes at the next controller hint,
+//!   read completion or (with an empty backlog) arrival. A refused head
+//!   is re-offered at the next hint, not every cycle: only a command
+//!   issued by `tick` frees a queue slot, and then the hint is the next
+//!   cycle. Refusals in between are skipped, so the controller's
+//!   queue-full counters count one refusal per wake, not per cycle.
+//!   With a ROP buffer a refused read still probes the SRAM
+//!   ([`MemController::refused_reads_have_effects`]), so those runs
+//!   re-offer every cycle. [`OpenLoopSystem::run_reference`] ticks
+//!   every cycle and is the oracle for both rules.
 //! * Reads whose lifetime overlaps a refresh freeze (tracked by the
 //!   controller's opt-in id tap) are additionally recorded in a second
 //!   histogram — the refresh-attributed tail.
@@ -242,10 +253,28 @@ impl OpenLoopSystem {
     /// Runs the injector for the configured duration and returns the
     /// metrics (with `open_loop` populated).
     pub fn run(&mut self) -> RunMetrics {
+        self.drive(true);
+        self.collect()
+    }
+
+    /// [`OpenLoopSystem::run`] without any fast-forwarding: ticks (and
+    /// re-offers the backlog head) every single cycle. Semantically
+    /// identical and much slower — the oracle the differential tests
+    /// compare the event-driven loop against.
+    pub fn run_reference(&mut self) -> RunMetrics {
+        self.drive(false);
+        self.collect()
+    }
+
+    /// The injection loop shared by both entry points.
+    fn drive(&mut self, event_driven: bool) {
         // Wall-clock throughput metadata only — never fed back into
         // simulated state, so determinism is unaffected.
         let start = Instant::now(); // rop-lint: allow(wallclock)
         let duration = self.spec.duration;
+        // With a ROP buffer a refused read still probes the SRAM, so
+        // every re-offer is observable and none may be skipped.
+        let retry_every_cycle = self.ctrl.refused_reads_have_effects();
         while self.now < duration {
             let now = self.now;
             self.events += 1;
@@ -291,20 +320,27 @@ impl OpenLoopSystem {
             self.blocked_scratch.clear();
 
             // Advance straight to the earliest next event: controller
-            // hint, next read completion, or next scheduled arrival. A
-            // non-empty backlog forces per-cycle stepping — a queue
-            // slot can open at any controller event, and the frontend
-            // must retry immediately.
-            let mut next = hint;
-            if let Some(done_at) = self.inflight.peek_earliest() {
-                next = next.min(done_at);
-            }
-            if let Some(at) = self.heads.iter().map(|h| h.at).min() {
-                next = next.min(at);
-            }
-            if !self.backlog.is_empty() {
-                next = now + 1;
-            }
+            // hint and next read completion, plus the next scheduled
+            // arrival while the backlog is empty. A non-empty backlog
+            // means its head was just refused. Only a queue slot can
+            // admit it, and a slot frees only when `tick` issues a
+            // command — which makes the hint `now + 1` — so the head
+            // waits for the hint, and arrivals in the skipped span
+            // queue behind it at the next wake in unchanged order.
+            let next = if !event_driven || (retry_every_cycle && !self.backlog.is_empty()) {
+                now + 1
+            } else {
+                let mut next = hint;
+                if let Some(done_at) = self.inflight.peek_earliest() {
+                    next = next.min(done_at);
+                }
+                if self.backlog.is_empty() {
+                    if let Some(at) = self.heads.iter().map(|h| h.at).min() {
+                        next = next.min(at);
+                    }
+                }
+                next
+            };
             self.now = next.max(now + 1).min(duration);
         }
         if let Some(token) = &self.cancel {
@@ -316,7 +352,6 @@ impl OpenLoopSystem {
                 panic!("{}", auditor.report()); // rop-lint: allow(no-panic)
             }
         }
-        self.collect()
     }
 
     fn collect(&mut self) -> RunMetrics {
@@ -433,6 +468,50 @@ mod tests {
         // the blocked subset is worse (or equal) at the median.
         assert!(ol.refresh_blocked_latency.count() > 0);
         assert!(ol.refresh_blocked_latency.p50() >= ol.read_latency.p50());
+    }
+
+    /// Event-driven differential: `run` skips cycles the reference
+    /// loop ticks one by one — idle stretches, and past the knee the
+    /// span a refused backlog head waits for the controller hint — and
+    /// must produce the same simulated metrics for every mechanism,
+    /// below and past the knee, and for ROP (which retries every cycle
+    /// while the head is refused).
+    #[test]
+    fn event_loop_matches_reference() {
+        let sim_json = |mut m: RunMetrics| {
+            m.events = 0;
+            m.wall_seconds = 0.0;
+            m.to_json().render()
+        };
+        let rop = SystemKind::Rop { buffer: 64 };
+        let mut kinds = SystemKind::MECHANISMS.to_vec();
+        kinds.push(rop);
+        for kind in kinds {
+            for rpkc in [75.0, 320.0] {
+                let mut cfg = open_loop_config(kind, rpkc, 20_000);
+                if let Some(rc) = cfg.ctrl_override.as_mut().and_then(|c| c.rop.as_mut()) {
+                    // Power the SRAM buffer on within the window, so
+                    // refused reads during freezes probe it.
+                    rc.training_refreshes = 2;
+                }
+                let fast = OpenLoopSystem::new(cfg.clone()).run();
+                let slow = OpenLoopSystem::new(cfg).run_reference();
+                assert_eq!(slow.events, 20_000, "{kind:?} at {rpkc}");
+                let saturated = fast.open_loop.as_ref().unwrap().saturated;
+                assert_eq!(saturated, rpkc > 250.0, "{kind:?} at {rpkc}");
+                if kind == rop {
+                    assert!(fast.sram_lookups > 0, "ROP buffer never probed at {rpkc}");
+                } else if saturated {
+                    assert!(
+                        fast.events < fast.total_cycles,
+                        "{kind:?} past the knee: {} events, {} cycles",
+                        fast.events,
+                        fast.total_cycles
+                    );
+                }
+                assert_eq!(sim_json(fast), sim_json(slow), "{kind:?} at {rpkc}");
+            }
+        }
     }
 
     #[test]

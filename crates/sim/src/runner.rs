@@ -457,22 +457,32 @@ where
     let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, items, run_one) = (&next, &items, &run_one);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                // A send error means the receiver is gone, which only
-                // happens if the scope is unwinding from a panic.
-                let _ = tx.send((i, run_one(&items[i])));
-            });
-        }
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, items, run_one) = (&next, &items, &run_one);
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    // A send error means the receiver is gone, which
+                    // only happens if this thread is unwinding.
+                    let _ = tx.send((i, run_one(&items[i])));
+                })
+            })
+            .collect();
         drop(tx);
         for (i, r) in rx {
             results[i] = Some(r);
+        }
+        // Join explicitly: left to the scope, a worker's panic would
+        // surface as a bare "a scoped thread panicked", losing the
+        // labelled message. Re-raise the first failing payload as is.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     results
