@@ -229,49 +229,28 @@ impl DramDevice {
         let r = cmd.rank();
         match *cmd {
             Command::Activate { bank, row, .. } => {
-                let i = s.bank_index(r, bank);
-                if s.is_open(i) {
+                if s.is_open(s.bank_index(r, bank)) {
                     return Err(IssueError::BankNotIdle);
                 }
-                let earliest = s.earliest_activate(r, now, t.t_faw).max(s.next_act[i]);
-                // A SARP-scoped refresh leaves the bank-wide ACT gate
-                // down; only rows of the frozen subarray must wait for
-                // the refresh window to end.
-                match s.frozen_subarray(i, earliest) {
-                    Some(sa) if self.config.geometry.subarray_of_row(row) == sa => {
-                        Ok(s.bank_refresh_done_at(i))
-                    }
-                    _ => Ok(earliest),
-                }
+                Ok(now.max(self.activate_ready_at(r, bank, row)))
             }
             Command::Precharge { bank, .. } => {
-                let i = s.bank_index(r, bank);
-                if !s.is_open(i) {
+                if !s.is_open(s.bank_index(r, bank)) {
                     return Err(IssueError::BankNotOpen);
                 }
-                Ok(now.max(s.next_pre[i]))
+                Ok(now.max(self.precharge_ready_at(r, bank)))
             }
-            Command::Read { bank, column, .. } => {
-                let i = s.bank_index(r, bank);
-                if !s.is_open(i) {
+            Command::Read { bank, .. } => {
+                if !s.is_open(s.bank_index(r, bank)) {
                     return Err(IssueError::BankNotOpen);
                 }
-                let _ = column;
-                let mut earliest = now
-                    .max(s.next_read[i])
-                    .max(self.next_read_ok)
-                    .max(s.next_read_rank[r]);
-                earliest = earliest.max(self.bus_constraint(r, t.cl));
-                Ok(earliest)
+                Ok(now.max(self.read_ready_at(r, bank)))
             }
             Command::Write { bank, .. } => {
-                let i = s.bank_index(r, bank);
-                if !s.is_open(i) {
+                if !s.is_open(s.bank_index(r, bank)) {
                     return Err(IssueError::BankNotOpen);
                 }
-                let mut earliest = now.max(s.next_write[i]).max(self.next_write_ok);
-                earliest = earliest.max(self.bus_constraint(r, t.cwl));
-                Ok(earliest)
+                Ok(now.max(self.write_ready_at(r, bank)))
             }
             Command::Refresh { .. } => {
                 if s.is_refreshing(r, now) {
@@ -297,6 +276,75 @@ impl DramDevice {
                 // (tRRD/tFAW) and must wait out the bank's own tRP/tRC.
                 Ok(s.earliest_activate(r, now, t.t_faw).max(s.next_act[i]))
             }
+        }
+    }
+
+    /// Cycle from which a READ to `(rank, bank)` may issue, given the
+    /// bank is open. Like the other `*_ready_at` bounds it skips the
+    /// index and row-state checks of [`Self::earliest_issue`] and does
+    /// not depend on the current cycle: the issue cycle is
+    /// `now.max(bound)`, and the bound holds until the next command
+    /// issues on the channel.
+    // rop-lint: hot
+    #[inline]
+    pub fn read_ready_at(&self, rank: usize, bank: usize) -> Cycle {
+        let s = &self.state;
+        s.next_read[s.bank_index(rank, bank)]
+            .max(self.next_read_ok)
+            .max(s.next_read_rank[rank])
+            .max(self.bus_constraint(rank, self.config.timing.cl))
+    }
+
+    /// Cycle from which a WRITE to `(rank, bank)` may issue, given the
+    /// bank is open (see [`Self::read_ready_at`]).
+    // rop-lint: hot
+    #[inline]
+    pub fn write_ready_at(&self, rank: usize, bank: usize) -> Cycle {
+        let s = &self.state;
+        s.next_write[s.bank_index(rank, bank)]
+            .max(self.next_write_ok)
+            .max(self.bus_constraint(rank, self.config.timing.cwl))
+    }
+
+    /// Cycle from which a PRE to `(rank, bank)` may issue, given the
+    /// bank is open (see [`Self::read_ready_at`]).
+    // rop-lint: hot
+    #[inline]
+    pub fn precharge_ready_at(&self, rank: usize, bank: usize) -> Cycle {
+        let s = &self.state;
+        s.next_pre[s.bank_index(rank, bank)]
+    }
+
+    /// The row-independent part of the ACT bound for `(rank, bank)`,
+    /// given the bank is idle: the bank's own tRP/tRC/refresh gate and
+    /// the rank's tRRD/tFAW/refresh lock. Equals
+    /// [`Self::activate_ready_at`] for every row unless a SARP-scoped
+    /// refresh has locked a subarray of the bank.
+    // rop-lint: hot
+    #[inline]
+    pub fn activate_gate(&self, rank: usize, bank: usize) -> Cycle {
+        let s = &self.state;
+        s.activate_window(rank, self.config.timing.t_faw)
+            .max(s.next_act[s.bank_index(rank, bank)])
+    }
+
+    /// Cycle from which an ACT of `row` in `(rank, bank)` may issue,
+    /// given the bank is idle (see [`Self::read_ready_at`]). A
+    /// SARP-scoped refresh leaves the bank-wide gate down; only rows of
+    /// the locked subarray wait for its window to end. The lock only
+    /// binds while it outlasts the gate, so taking the max with its end
+    /// cycle keeps the bound independent of the current cycle.
+    // rop-lint: hot
+    #[inline]
+    pub fn activate_ready_at(&self, rank: usize, bank: usize, row: usize) -> Cycle {
+        let s = &self.state;
+        let i = s.bank_index(rank, bank);
+        let gate = self.activate_gate(rank, bank);
+        match s.bank_refresh_subarray_p1[i].checked_sub(1) {
+            Some(sa) if self.config.geometry.subarray_of_row(row) == sa => {
+                gate.max(s.bank_refresh_done_at(i))
+            }
+            _ => gate,
         }
     }
 

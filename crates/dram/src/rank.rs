@@ -106,15 +106,23 @@ impl ChannelTiming {
     /// monotone, so "all four in window" reduces to one comparison
     /// against `act_ring[rank][0]`.
     // rop-lint: hot
+    #[inline]
     pub fn earliest_activate(&self, rank: usize, now: Cycle, t_faw: Cycle) -> Cycle {
-        let mut earliest = self.next_act_rrd[rank].max(now);
+        self.activate_window(rank, t_faw).max(now)
+    }
+
+    /// The rank-level ACT gate as a bound that does not depend on the
+    /// current cycle: tRRD, the four-activate window and the all-bank
+    /// refresh lock. [`Self::earliest_activate`] is this gate clamped
+    /// to `now`.
+    // rop-lint: hot
+    #[inline]
+    pub fn activate_window(&self, rank: usize, t_faw: Cycle) -> Cycle {
+        let mut gate = self.next_act_rrd[rank];
         if self.act_count[rank] == 4 {
-            let oldest = self.act_ring[rank][0];
-            if oldest + t_faw > earliest {
-                earliest = oldest + t_faw;
-            }
+            gate = gate.max(self.act_ring[rank][0] + t_faw);
         }
-        earliest.max(self.refresh_until[rank])
+        gate.max(self.refresh_until[rank])
     }
 
     /// Starts an all-bank refresh on `rank` at `now`, locking the rank

@@ -531,14 +531,15 @@ impl SweepExecutor for StoreExecutor {
                         epoch: 0,
                         worker: String::new(),
                     };
-                    self.store
+                    // Losing a finished result silently would defeat the
+                    // durability contract; fail loudly instead.
+                    let line = self
+                        .store
                         .append(&rec)
-                        // Losing a finished result silently would defeat
-                        // the durability contract; fail loudly instead.
                         .unwrap_or_else(|e| panic!("store append failed: {e}")); // rop-lint: allow(no-panic)
-                                                                                 // Round-trip through the serialized form: what the
-                                                                                 // figure sees is exactly what the store holds.
-                    let line = rec.to_json().render();
+
+                    // Round-trip through the line just written: what the
+                    // figure sees is exactly what the store holds.
                     let decoded = Json::parse(&line)
                         .and_then(|j| Record::from_json(&j))
                         .unwrap_or_else(|e| panic!("store round-trip failed: {e}")); // rop-lint: allow(no-panic)
@@ -650,6 +651,44 @@ mod tests {
         assert_eq!(first[0].total_cycles, second[0].total_cycles);
         assert_eq!(first[0].ipc().to_bits(), second[0].ipc().to_bits());
         let _ = std::fs::remove_file(store.path());
+    }
+
+    #[test]
+    fn each_result_is_appended_once_and_decoded_from_its_line() {
+        use crate::store::{RealIo, StoreIo};
+        use std::path::Path;
+
+        /// Records every line the store appends.
+        #[derive(Default)]
+        struct RecordingIo(Mutex<Vec<String>>);
+        impl StoreIo for RecordingIo {
+            fn read_file(&self, path: &Path) -> Result<Option<String>, String> {
+                RealIo.read_file(path)
+            }
+            fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
+                self.0.lock().unwrap().push(line.to_string());
+                RealIo.append_line(path, line)
+            }
+        }
+
+        let path = tmp_store("render-once").path().to_path_buf();
+        let io = Arc::new(RecordingIo::default());
+        let exec = StoreExecutor::new(Store::with_io(&path, io.clone()));
+        let jobs: Vec<SweepJob> = [Benchmark::Bzip2, Benchmark::Gobmk]
+            .into_iter()
+            .map(|b| SweepJob::single("t", b, SystemKind::Baseline, tiny_spec()))
+            .collect();
+        let out = exec.execute(jobs);
+        // One append — one fsync — per record, in job order, and each
+        // result is what its stored line decodes to.
+        let lines = io.0.lock().unwrap().clone();
+        assert_eq!(lines.len(), 2);
+        for (line, m) in lines.iter().zip(&out) {
+            let rec = Record::from_json(&Json::parse(line.trim_end()).unwrap()).unwrap();
+            let stored = rec.metrics.expect("an ok record");
+            assert_eq!(stored.to_json().render(), m.to_json().render());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

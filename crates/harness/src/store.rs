@@ -297,11 +297,15 @@ impl Store {
 
     /// Appends one record (single line + newline, fsync'd to the
     /// device before returning so a machine crash after a successful
-    /// append cannot lose it).
-    pub fn append(&self, rec: &Record) -> Result<(), String> {
+    /// append cannot lose it). Returns the line written, without its
+    /// newline, so a caller can decode exactly the bytes the store holds
+    /// without rendering the record a second time.
+    pub fn append(&self, rec: &Record) -> Result<String, String> {
         let mut line = rec.to_json().render();
         line.push('\n');
-        self.io.append_line(&self.path, &line)
+        self.io.append_line(&self.path, &line)?;
+        line.pop();
+        Ok(line)
     }
 }
 
@@ -540,7 +544,8 @@ mod tests {
         let path = tmp("io-seam");
         let io = Arc::new(CountingIo::default());
         let store = Store::with_io(&path, io.clone());
-        store.append(&ok_record("aaaa", 0.5)).unwrap();
+        let line = store.append(&ok_record("aaaa", 0.5)).unwrap();
+        assert_eq!(line, ok_record("aaaa", 0.5).to_json().render());
         store.append(&ok_record("bbbb", 0.6)).unwrap();
         let contents = store.load().unwrap();
         assert_eq!(contents.records.len(), 2);

@@ -31,6 +31,7 @@ use crate::config::{MechanismKind, MemCtrlConfig};
 use crate::mechanism::{Mechanism, RefreshMechanism, RefreshScope, RoundShape};
 use crate::refresh::{RefreshManager, RefreshState};
 use crate::request::MemRequest;
+use crate::sched_index::{for_each_bit, Best, Next, QueueKind, SchedIndex, SlotGates, TieShape};
 use crate::Cycle;
 
 /// A finished read delivered back to a core.
@@ -88,17 +89,9 @@ struct Queued {
     /// True once an ACT has been issued on behalf of this request (used
     /// for the row-buffer-hit statistic).
     acted: bool,
-    /// True while the request's id is in its slot's drain set — set
-    /// and reset for the slot's requests at each drain snapshot, so the
-    /// scheduler's membership test is a field read, not a set scan.
-    in_drain: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueKind {
-    Read,
-    Write,
-    Prefetch,
+    /// The request's stable handle in the scheduling index, which also
+    /// holds its drain-set flag.
+    handle: u32,
 }
 
 /// ROP state attached to the controller (engines are per rank, the SRAM
@@ -123,9 +116,9 @@ struct RopState {
     latency: Cycle,
 }
 
-/// One scheduling candidate, fully materialised at candidate-build time
-/// so the scheduler's sort/scan passes run over plain contiguous memory
-/// instead of chasing back into the request queues on every comparison.
+/// One scheduling candidate of the sorted walk, fully materialised at
+/// candidate-build time so the walk's sorts and scans run over plain
+/// contiguous memory instead of chasing back into the request queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cand {
     /// 0 = draining-rank demand, 1 = regular, 2 = ROP prefetch.
@@ -150,60 +143,136 @@ impl Cand {
     }
 }
 
-/// Candidate-list length above which the scheduler picks by linear
-/// scan instead of sorting. Short lists sort cheaply, and the sorted
-/// walk stops at the first ready candidate where the linear pick
-/// probes every one. Set by measurement: short single-core sweep jobs
-/// never exceed this length and keep the walk, while the open-loop
-/// knee (~100 candidates) gains as much at this crossover as with none.
-const LINEAR_PICK_MIN_CANDS: usize = 24;
+/// A scheduling decision: the request whose next command issues this
+/// cycle, by queue and position, or the earliest cycle any candidate's
+/// next command could issue.
+type Pick = Result<(QueueKind, usize), Cycle>;
 
-/// Running result of a linear pick pass: the ready candidate with the
-/// smallest key, whether another ready candidate shares that key, and
-/// the earliest issue cycle among the candidates not yet ready.
-#[derive(Debug)]
-struct OldestReady {
-    best: Option<Cand>,
+/// The tie that sent an indexed pick to the sorted walk: equal keys
+/// where the walk's sort order among them decides the answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tie {
+    /// The oldest key is over age and shared (pass 0).
+    AgeCap,
+    /// The oldest ready row hit's key is shared (pass 1).
+    RowHit,
+    /// A bank's oldest key is shared by requests whose next commands
+    /// differ or are ready, so its representative is the sort's
+    /// choice, or the oldest ready representative's key is shared
+    /// (pass 2).
+    Bank,
+}
+
+/// Running minimum of one indexed pass over bank summary entries: the
+/// offered entry with the smallest key, and whether another offered
+/// request — in another bank, or in the entry's own tie group — shares
+/// that key.
+#[derive(Debug, Default)]
+struct ReadyMin {
+    best: Option<Best>,
     tied: bool,
-    earliest: Cycle,
 }
 
-impl Default for OldestReady {
-    fn default() -> Self {
-        OldestReady {
-            best: None,
-            tied: false,
-            earliest: Cycle::MAX,
-        }
-    }
-}
-
-impl OldestReady {
-    /// Folds in candidate `c`, whose next command can issue at `e`.
+impl ReadyMin {
+    /// Folds in one bank's entry.
+    // rop-lint: hot
     #[inline]
-    fn offer(&mut self, c: Cand, e: Cycle, now: Cycle) {
-        if e > now {
-            self.earliest = self.earliest.min(e);
-            return;
-        }
+    fn offer(&mut self, c: Best) {
         match self.best {
             Some(b) if b.key() < c.key() => {}
             Some(b) if b.key() == c.key() => self.tied = true,
             _ => {
                 self.best = Some(c);
-                self.tied = false;
+                self.tied = c.tied();
             }
         }
     }
+}
 
-    /// The pass's answer: the oldest ready candidate, or `Err(earliest)`
-    /// when none is ready; `None` when the oldest ready key is shared.
-    fn pick(self) -> Option<Result<Cand, Cycle>> {
-        match self.best {
-            None => Some(Err(self.earliest)),
-            Some(_) if self.tied => None,
-            Some(b) => Some(Ok(b)),
+/// A command class whose bound the probe cache holds per bank.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    Read,
+    Write,
+    Precharge,
+    /// The row-independent ACT gate ([`DramDevice::activate_gate`]).
+    Activate,
+}
+
+/// Per-bank command bounds that do not depend on the current cycle
+/// (see [`DramDevice::read_ready_at`]), cached until the next command
+/// issues on the channel — every bound only moves when a command
+/// issues. Each bound is read from the device the first time it is
+/// needed after that.
+#[derive(Debug)]
+struct ProbeCache {
+    /// Commands issued on the channel so far: a cached bound is valid
+    /// while the epoch stored beside it equals this count.
+    epoch: u64,
+    /// Per bank, `(epoch, bound)` for each [`Probe`].
+    banks: Vec<[(u64, Cycle); 4]>,
+}
+
+impl ProbeCache {
+    fn new(banks: usize) -> Self {
+        ProbeCache {
+            epoch: 0,
+            banks: vec![[(u64::MAX, 0); 4]; banks],
         }
+    }
+
+    /// Drops every cached bound: a command issued.
+    // rop-lint: hot
+    #[inline]
+    fn invalidate(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// The `probe` bound of global bank `g` — `(rank, bank)` on
+    /// `device`.
+    // rop-lint: hot
+    #[inline]
+    fn bound(
+        &mut self,
+        g: usize,
+        probe: Probe,
+        (rank, bank): (usize, usize),
+        device: &DramDevice,
+    ) -> Cycle {
+        let cached = &mut self.banks[g][probe as usize];
+        if cached.0 != self.epoch {
+            let bound = match probe {
+                Probe::Read => device.read_ready_at(rank, bank),
+                Probe::Write => device.write_ready_at(rank, bank),
+                Probe::Precharge => device.precharge_ready_at(rank, bank),
+                Probe::Activate => device.activate_gate(rank, bank),
+            };
+            *cached = (self.epoch, bound);
+        }
+        cached.1
+    }
+
+    /// The bound `next` waits for on global bank `g`. A SARP lock holds
+    /// single subarrays, so under SARP an ACT's bound depends on its
+    /// row and is read from the device per request, not cached.
+    // rop-lint: hot
+    #[inline]
+    fn next_bound(
+        &mut self,
+        g: usize,
+        next: Next,
+        loc: (usize, usize),
+        device: &DramDevice,
+        sarp: bool,
+    ) -> Cycle {
+        let probe = match next {
+            Next::Read => Probe::Read,
+            Next::Write => Probe::Write,
+            Next::Precharge => Probe::Precharge,
+            Next::Activate { row } if sarp => return device.activate_ready_at(loc.0, loc.1, row),
+            Next::Activate { .. } => Probe::Activate,
+        };
+        self.bound(g, probe, loc, device)
     }
 }
 
@@ -213,31 +282,19 @@ impl OldestReady {
 /// allocation-free (capacities are retained across ticks).
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// FR-FCFS candidates, in queue order.
+    /// Sorted walk: FR-FCFS candidates, in queue order.
     cands: Vec<Cand>,
-    /// Per-slot "is draining" snapshot.
-    draining: Vec<bool>,
-    /// Per-slot admission gates: (blocked for regular requests,
-    /// blocked even for drain-set/prefetch requests).
-    gates: Vec<(bool, bool)>,
-    /// Row-hit candidates (pass 1).
+    /// Sorted walk: per-slot admission gates.
+    gates: Vec<SlotGates>,
+    /// Sorted walk: row-hit candidates (pass 1).
     hits: Vec<Cand>,
-    /// Age-ordered candidates for the per-bank pass.
+    /// Sorted walk: age-ordered candidates for the per-bank pass.
     ordered: Vec<Cand>,
-    /// Per-bank "already owns a candidate" flags, indexed by the
-    /// flattened bank key; cleared at the start of every per-bank pass.
+    /// Sorted walk: per-bank "already owns a candidate" flags, indexed
+    /// by the flattened bank key.
     seen_banks: Vec<bool>,
-    /// Linear per-bank pass: index into `cands` of each bank's oldest
-    /// candidate (`usize::MAX` for none), and whether another candidate
-    /// of that bank shares its key.
-    bank_oldest: Vec<(usize, bool)>,
     /// Refresh slots reported by the manager this tick.
     slots: Vec<usize>,
-    /// Per-slot SARP scope: the subarray a slot's refresh round locks
-    /// (None outside SARP, or when the slot is neither draining nor
-    /// frozen). Requests to other subarrays are exempt from the slot's
-    /// gates.
-    sa_scope: Vec<Option<usize>>,
     /// Elastic debt snapshot (trace-only path).
     debts: Vec<u32>,
     /// Prefetch lines whose fill landed this tick.
@@ -250,21 +307,18 @@ impl TickScratch {
     /// Scratch pre-sized to the controller's hard occupancy bounds, so
     /// the per-cycle paths never grow these vectors: candidate lists
     /// are capped by total queue capacity, per-slot lists by the
-    /// refresh-slot count, and the per-bank dedup list by the bank
+    /// refresh-slot count, and the per-bank dedup flags by the bank
     /// count. (ROP prefetch queues have no configured cap; the
     /// allowance below covers the paper's deepest configuration, and
     /// anything beyond it merely grows once.)
     fn with_bounds(queue_cap: usize, slots: usize, banks: usize) -> Self {
         TickScratch {
             cands: Vec::with_capacity(queue_cap),
-            draining: Vec::with_capacity(slots),
             gates: Vec::with_capacity(slots),
             hits: Vec::with_capacity(queue_cap),
             ordered: Vec::with_capacity(queue_cap),
             seen_banks: vec![false; banks],
-            bank_oldest: vec![(usize::MAX, false); banks],
             slots: Vec::with_capacity(slots),
-            sa_scope: Vec::with_capacity(slots),
             debts: Vec::with_capacity(slots),
             filled: Vec::with_capacity(queue_cap),
             blocked: Vec::with_capacity(queue_cap),
@@ -322,6 +376,17 @@ pub struct MemController {
     /// Controller-level trace sink (refresh/drain lifecycle events).
     trace: TraceBuffer,
     scratch: TickScratch,
+    /// FR-FCFS scheduling index over the three queues.
+    index: SchedIndex,
+    /// Per-bank command bounds, valid until the next command issues.
+    probes: ProbeCache,
+    /// `(rank, bank)` of each global bank (the hot paths index by the
+    /// global key and avoid dividing it back).
+    bank_loc: Vec<(usize, usize)>,
+    /// Test builds: the last indexed pick (or the tie that sent it to
+    /// the walk) next to the sorted walk's answer for the same tick.
+    #[cfg(test)]
+    last_pick: Option<(Result<Pick, Tie>, Pick)>,
     // Cold fields stay behind `stats`/`scratch`: inserting them
     // mid-struct shifts the hot tick fields across cache lines and
     // costs ~25% end-to-end throughput (perf_gate catches this).
@@ -428,6 +493,17 @@ impl MemController {
                 slots,
                 ranks * banks,
             ),
+            index: SchedIndex::new(
+                ranks * banks,
+                slots,
+                cfg.read_queue_capacity + cfg.write_queue_capacity + 128,
+            ),
+            probes: ProbeCache::new(ranks * banks),
+            bank_loc: (0..ranks)
+                .flat_map(|r| (0..banks).map(move |b| (r, b)))
+                .collect(),
+            #[cfg(test)]
+            last_pick: None,
             cfg,
         }
     }
@@ -523,7 +599,7 @@ impl MemController {
     #[inline]
     fn slot_rank(&self, slot: usize) -> usize {
         match self.scope {
-            RefreshScope::PerBank => slot / self.cfg.dram.geometry.banks_per_rank,
+            RefreshScope::PerBank => self.bank_loc[slot].0,
             RefreshScope::PerRank => slot,
         }
     }
@@ -531,7 +607,7 @@ impl MemController {
     #[inline]
     fn slot_bank(&self, slot: usize) -> Option<usize> {
         match self.scope {
-            RefreshScope::PerBank => Some(slot % self.cfg.dram.geometry.banks_per_rank),
+            RefreshScope::PerBank => Some(self.bank_loc[slot].1),
             RefreshScope::PerRank => None,
         }
     }
@@ -748,6 +824,7 @@ impl MemController {
             }
         }
         self.note_arrival(addr.rank, addr.bank, addr, true, now);
+        let handle = self.index_insert(QueueKind::Read, &addr, now);
         self.read_q.push(Queued {
             req: MemRequest {
                 id,
@@ -759,7 +836,7 @@ impl MemController {
                 is_prefetch: false,
             },
             acted: false,
-            in_drain: false,
+            handle,
         });
         Some(id)
     }
@@ -774,6 +851,7 @@ impl MemController {
         let addr = self.mapping.decode(line_addr);
         let id = self.alloc_id();
         self.note_arrival(addr.rank, addr.bank, addr, false, now);
+        let handle = self.index_insert(QueueKind::Write, &addr, now);
         self.write_q.push(Queued {
             req: MemRequest {
                 id,
@@ -785,7 +863,7 @@ impl MemController {
                 is_prefetch: false,
             },
             acted: false,
-            in_drain: false,
+            handle,
         });
         self.stats.writes_accepted += 1;
         true
@@ -795,6 +873,56 @@ impl MemController {
         let id = self.next_id;
         self.next_id += 1;
         id
+    }
+
+    /// Global bank key of `addr`: `rank * banks_per_rank + bank`.
+    // rop-lint: hot
+    #[inline]
+    fn global_bank(&self, addr: &DecodedAddr) -> usize {
+        addr.rank * self.cfg.dram.geometry.banks_per_rank + addr.bank
+    }
+
+    /// Enters a request about to be queued into the scheduling index.
+    // rop-lint: hot
+    fn index_insert(&mut self, kind: QueueKind, addr: &DecodedAddr, now: Cycle) -> u32 {
+        let bank = self.global_bank(addr) as u32;
+        self.index.insert(bank, kind, now, addr.row)
+    }
+
+    /// The global banks of refresh slot `slot`.
+    // rop-lint: hot
+    #[inline]
+    fn slot_banks(&self, slot: usize) -> std::ops::Range<usize> {
+        match self.scope {
+            RefreshScope::PerBank => slot..slot + 1,
+            RefreshScope::PerRank => {
+                let banks = self.cfg.dram.geometry.banks_per_rank;
+                slot * banks..(slot + 1) * banks
+            }
+        }
+    }
+
+    /// The refresh slot global bank `bank` belongs to.
+    // rop-lint: hot
+    #[inline]
+    fn bank_slot(&self, bank: usize) -> usize {
+        match self.scope {
+            RefreshScope::PerBank => bank,
+            RefreshScope::PerRank => self.bank_loc[bank].0,
+        }
+    }
+
+    /// Issues `cmd`, invalidating every cached probe and the summary of
+    /// the bank whose open row it may change.
+    // rop-lint: hot
+    fn issue_command(&mut self, cmd: &Command, now: Cycle) -> rop_dram::IssueOutcome {
+        let outcome = self.device.issue(cmd, now);
+        self.probes.invalidate();
+        if let Some(bank) = cmd.bank() {
+            let g = cmd.rank() * self.cfg.dram.geometry.banks_per_rank + bank;
+            self.index.mark_dirty(g);
+        }
+        outcome
     }
 
     /// Records an accepted demand arrival with the analysis and ROP hooks.
@@ -854,6 +982,9 @@ impl MemController {
         if let Some(e) = self.mech.next_event(&self.refresh, now) {
             earliest_hint = earliest_hint.min(e);
         }
+        if self.rop.is_some() {
+            earliest_hint = earliest_hint.min(self.prefetch_grace_end(now));
+        }
         if let Some(&(_, at)) = self.pending_fills.iter().min_by_key(|&&(_, at)| at) {
             earliest_hint = earliest_hint.min(at.max(now.saturating_add(1)));
         }
@@ -899,7 +1030,8 @@ impl MemController {
                 debug_assert!(served, "line was just inserted");
                 self.stats.sram_lookups += 1;
                 self.stats.sram_hits += 1;
-                self.read_q.remove(i);
+                let q = self.read_q.remove(i);
+                self.index.remove(q.handle);
                 self.completions.push(Completion {
                     id: req.id,
                     core: req.core,
@@ -1043,7 +1175,7 @@ impl MemController {
             // only the refreshing subarray needs to drain — the rest of
             // the bank keeps flowing through the refresh). The slot's
             // Vec is refilled in place, keeping its capacity, and every
-            // request of the slot has its `in_drain` flag set or reset
+            // request of the slot has its index drain flag set or reset
             // to match.
             let sa_filter = match shape {
                 RoundShape::Subarray { subarray } => Some(subarray),
@@ -1052,14 +1184,18 @@ impl MemController {
             let geom = self.cfg.dram.geometry;
             let set = &mut self.drain_sets[slot];
             set.clear();
-            for q in self.read_q.iter_mut().chain(self.write_q.iter_mut()) {
+            for q in self.read_q.iter().chain(self.write_q.iter()) {
                 if slot_of(scope, banks, &q.req.addr) == slot {
-                    q.in_drain =
+                    let in_drain =
                         sa_filter.is_none_or(|sa| geom.subarray_of_row(q.req.addr.row) == sa);
-                    if q.in_drain {
+                    self.index.set_in_drain(q.handle, in_drain);
+                    if in_drain {
                         set.push(q.req.id);
                     }
                 }
+            }
+            for g in self.slot_banks(slot) {
+                self.index.mark_dirty(g);
             }
 
             if let Some(rop) = &mut self.rop {
@@ -1157,8 +1293,8 @@ impl MemController {
                 .mapping
                 .encode_bank_line(rank, cand.bank, cand.line_offset);
             let addr = self.mapping.decode(line_addr);
-            let id = self.next_id;
-            self.next_id += 1;
+            let id = self.alloc_id();
+            let handle = self.index_insert(QueueKind::Prefetch, &addr, now);
             self.prefetch_q.push(Queued {
                 req: MemRequest {
                     id,
@@ -1170,7 +1306,7 @@ impl MemController {
                     is_prefetch: true,
                 },
                 acted: false,
-                in_drain: false,
+                handle,
             });
             self.stats.prefetches_issued += 1;
         }
@@ -1201,6 +1337,26 @@ impl MemController {
                 .refresh
                 .draining_longer_than(slot, now, self.cfg.prefetch_grace);
         prefetch_done
+    }
+
+    /// Earliest cycle after `now` at which a draining slot whose demand
+    /// has drained completes its drain because its prefetch grace runs
+    /// out. No command or arrival announces that change, yet it lets
+    /// REF preparation start and closes the slot to regular requests.
+    fn prefetch_grace_end(&self, now: Cycle) -> Cycle {
+        let mut end = Cycle::MAX;
+        for slot in 0..self.refresh_slots() {
+            if let RefreshState::Draining { due } = self.refresh.state(slot) {
+                let grace_end = due.saturating_add(self.cfg.prefetch_grace);
+                if grace_end > now
+                    && self.demand_drained(slot, now)
+                    && !self.drain_complete(slot, now)
+                {
+                    end = end.min(grace_end);
+                }
+            }
+        }
+        end
     }
 
     /// Refresh preparation: for a Draining rank whose drain is complete,
@@ -1251,7 +1407,7 @@ impl MemController {
                     let cmd = Command::Precharge { rank, bank };
                     match self.device.earliest_issue(&cmd, now) {
                         Ok(e) if e <= now => {
-                            self.device.issue(&cmd, now);
+                            self.issue_command(&cmd, now);
                             return Some(Ok(()));
                         }
                         Ok(e) => earliest = earliest.min(e),
@@ -1267,7 +1423,7 @@ impl MemController {
                             None => Command::Refresh { rank },
                         };
                         match self.device.earliest_issue(&cmd, now) {
-                            Ok(e) if e <= now => Some(self.device.issue(&cmd, now)),
+                            Ok(e) if e <= now => Some(self.issue_command(&cmd, now)),
                             Ok(e) => {
                                 earliest = earliest.min(e);
                                 None
@@ -1325,6 +1481,10 @@ impl MemController {
                     }
                 };
                 if let Some(outcome) = issued {
+                    // Subarray and scaled refreshes bypass `issue_command`.
+                    if !matches!(shape, RoundShape::Standard) {
+                        self.probes.invalidate();
+                    }
                     self.mech
                         .on_refresh_issued(&mut self.refresh, slot, now, outcome.completes_at);
                     self.refresh_started_at[slot] = now;
@@ -1348,8 +1508,14 @@ impl MemController {
                         // can no longer help; drop them.
                         let before = self.prefetch_q.len();
                         let (scope, banks) = (self.scope, self.cfg.dram.geometry.banks_per_rank);
-                        self.prefetch_q
-                            .retain(|q| slot_of(scope, banks, &q.req.addr) != slot);
+                        let index = &mut self.index;
+                        self.prefetch_q.retain(|q| {
+                            let keep = slot_of(scope, banks, &q.req.addr) != slot;
+                            if !keep {
+                                index.remove(q.handle);
+                            }
+                            keep
+                        });
                         self.stats.prefetches_dropped += (before - self.prefetch_q.len()) as u64;
                         if self.rop_debug {
                             eprintln!(
@@ -1460,7 +1626,8 @@ impl MemController {
             if rop.buffer.lookup(req.line_addr) {
                 rop.refresh_hits[slot] += 1;
                 self.stats.sram_hits += 1;
-                self.read_q.remove(idx);
+                let q = self.read_q.remove(idx);
+                self.index.remove(q.handle);
                 self.completions.push(Completion {
                     id: req.id,
                     core: req.core,
@@ -1480,21 +1647,19 @@ impl MemController {
         self.scratch.blocked = blocked;
     }
 
-    /// True when requests in `slot`'s scope must not be issued (scope
-    /// frozen, or quiescing for an imminent refresh).
+    /// Admission state of `slot` at `now` (see [`SlotGates`]).
     // rop-lint: hot
-    fn slot_blocked(&self, slot: usize, now: Cycle, in_drain_set: bool) -> bool {
-        if self.slot_frozen(slot, now) {
-            return true;
-        }
-        match self.refresh.state(slot) {
-            RefreshState::Draining { .. } => {
-                // Demand keeps flowing through the drain and the prefetch
-                // burst (prefetches yield to it on the command bus); only
-                // the final precharge-and-REF stage quiesces the scope.
-                self.drain_complete(slot, now) && !in_drain_set
-            }
-            _ => false,
+    fn slot_gates(&self, slot: usize, now: Cycle) -> SlotGates {
+        let frozen = self.slot_frozen(slot, now);
+        let draining = matches!(self.refresh.state(slot), RefreshState::Draining { .. });
+        SlotGates {
+            draining,
+            // Demand keeps flowing through the drain and the prefetch
+            // burst (prefetches yield to it on the command bus); only
+            // the final precharge-and-REF stage quiesces the scope.
+            regular: frozen || (draining && self.drain_complete(slot, now)),
+            frozen,
+            sa_scope: self.slot_sa_scope(slot, now),
         }
     }
 
@@ -1523,26 +1688,222 @@ impl MemController {
     /// FR-FCFS scheduling. `Ok(())` = one command issued; `Err(earliest)`
     /// = nothing ready, next possible issue at `earliest`.
     ///
-    /// This runs every command-bus cycle, so its working sets live in
-    /// [`TickScratch`] — taken out here, refilled, and put back, which
-    /// keeps the steady-state loop allocation-free.
+    /// The scheduling index answers from per-bank summaries kept across
+    /// ticks ([`Self::pick_indexed`]). When a tie between equal keys
+    /// decides the answer, the sorted walk ([`Self::pick_walk`])
+    /// answers instead; debug builds check every indexed pick against
+    /// it.
     // rop-lint: hot
     fn schedule(&mut self, now: Cycle) -> Result<(), Cycle> {
-        let mut s = std::mem::take(&mut self.scratch);
-        let result = self.schedule_with(now, &mut s);
-        self.scratch = s;
-        result
+        self.refresh_index(now);
+        let indexed = self.pick_indexed(now);
+        if cfg!(any(test, debug_assertions)) {
+            let walk = self.pick_walk(now);
+            if let Ok(p) = indexed {
+                debug_assert_eq!(p, walk, "indexed pick vs sorted walk at cycle {now}");
+            }
+            #[cfg(test)]
+            {
+                self.last_pick = Some((indexed, walk));
+            }
+        }
+        let (kind, idx) = match indexed {
+            Ok(p) => p?,
+            Err(_) => self.pick_walk(now)?,
+        };
+        self.issue_for(kind, idx, now);
+        Ok(())
     }
 
+    /// Brings the index up to date for this tick: records the gates of
+    /// every slot holding requests and the serve-writes flag (marking
+    /// the banks whose inputs changed dirty), then recomputes the dirty
+    /// summaries of occupied banks.
+    ///
+    /// A summary depends on its bank's requests, its open row, its
+    /// slot's gates and the serve-writes flag. Request changes and
+    /// commands mark their bank dirty where they happen; gates and the
+    /// flag are compared here every tick, which also covers the drain
+    /// gates that move with time alone. A slot's recorded gates may go
+    /// stale while it holds no request: a request entering it marks its
+    /// bank dirty, and the gates are refreshed before that bank's
+    /// summary is.
     // rop-lint: hot
-    fn schedule_with(&mut self, now: Cycle, s: &mut TickScratch) -> Result<(), Cycle> {
-        self.build_candidates(now, s);
-        if s.cands.is_empty() {
-            return Err(Cycle::MAX);
+    fn refresh_index(&mut self, now: Cycle) {
+        for slot in 0..self.refresh_slots() {
+            let banks = self.slot_banks(slot);
+            if !self.index.any_occupied(banks.clone()) {
+                continue;
+            }
+            let gates = self.slot_gates(slot, now);
+            if self.index.update_gates(slot, gates) {
+                for g in banks {
+                    self.index.mark_dirty(g);
+                }
+            }
         }
-        let c = self.pick(now, s)?;
-        self.issue_for(c.kind, c.idx, now);
-        Ok(())
+        self.index
+            .update_serve_writes(self.write_drain || self.read_q.is_empty());
+        let geom = self.cfg.dram.geometry;
+        for w in 0..self.index.words() {
+            let word = self.index.take_dirty_word(w);
+            for_each_bit(word, w * 64, |g| {
+                let (rank, bank) = self.bank_loc[g];
+                let open = self.device.open_row(rank, bank);
+                let slot = self.bank_slot(g);
+                self.index
+                    .summarize(g, slot, open, |row| geom.subarray_of_row(row));
+            });
+        }
+    }
+
+    /// The FR-FCFS pick from the bank summaries: the sorted walk's
+    /// three passes, folded into one scan with each occupied bank
+    /// standing in for its requests. A bank's read hits share one RD
+    /// bound and its write hits one WR bound, so its oldest hit of each
+    /// kind decides pass 1, and its oldest candidate is its pass-2
+    /// representative.
+    ///
+    /// `Err(tie)` when a tie between equal keys decides the answer,
+    /// because the walk's order among equal keys is its sort's. Pass 2
+    /// lets a bank's tie through when every tied request waits for one
+    /// bound, or when only a row miss put first could add a bound the
+    /// hint does not already hold.
+    // rop-lint: hot
+    fn pick_indexed(&mut self, now: Cycle) -> Result<Pick, Tie> {
+        let sarp = matches!(self.mech, Mechanism::Sarp(_));
+        // Pass 0 over all candidates; passes 1 and 2 over ready ones.
+        let (mut oldest, mut hits, mut reps) = (
+            ReadyMin::default(),
+            ReadyMin::default(),
+            ReadyMin::default(),
+        );
+        // Earliest bound among waiting hits (pass 1) and waiting
+        // representatives (pass 2); the lowest PRE bound a tied bank
+        // adds only if the sort puts a row miss first.
+        let (mut hit_wait, mut rep_wait, mut maybe) = (Cycle::MAX, Cycle::MAX, Cycle::MAX);
+        let mut bank_tie = false;
+        for w in 0..self.index.words() {
+            for_each_bit(self.index.occupied_word(w), w * 64, |g| {
+                let sum = self.index.summary(g);
+                let Some(o) = sum.oldest else { return };
+                oldest.offer(o);
+                let loc = self.bank_loc[g];
+                let dev = &self.device;
+                for (hit, probe) in [(sum.read_hit, Probe::Read), (sum.write_hit, Probe::Write)] {
+                    if let Some(h) = hit {
+                        let bound = self.probes.bound(g, probe, loc, dev);
+                        if bound <= now {
+                            hits.offer(h);
+                        } else {
+                            hit_wait = hit_wait.min(bound);
+                        }
+                    }
+                }
+                // A tie group waits for one shared bound; ACTs share one
+                // only outside SARP.
+                let (probe, wait) = match sum.tie {
+                    TieShape::Unique => {
+                        let bound = self.probes.next_bound(g, sum.next, loc, dev, sarp);
+                        if bound <= now {
+                            reps.offer(o);
+                        } else {
+                            rep_wait = rep_wait.min(bound);
+                        }
+                        return;
+                    }
+                    TieShape::Hits => return,
+                    TieShape::Precharge => (Probe::Precharge, &mut rep_wait),
+                    TieShape::HitsAndPrecharge => (Probe::Precharge, &mut maybe),
+                    TieShape::Activate if !sarp => (Probe::Activate, &mut rep_wait),
+                    TieShape::Activate => {
+                        bank_tie = true;
+                        return;
+                    }
+                };
+                let bound = self.probes.bound(g, probe, loc, dev);
+                if bound > now {
+                    *wait = (*wait).min(bound);
+                } else {
+                    bank_tie = true;
+                }
+            });
+        }
+
+        // Pass 0: starvation guard — serve the oldest over-age request.
+        let mut earliest = Cycle::MAX;
+        if let Some(o) = oldest.best {
+            if now.saturating_sub(o.arrival) > self.cfg.age_cap {
+                if oldest.tied {
+                    return Err(Tie::AgeCap);
+                }
+                let g = self.index.entry(o.handle).bank as usize;
+                let next = self.index.summary(g).next;
+                let bound = self
+                    .probes
+                    .next_bound(g, next, self.bank_loc[g], &self.device, sarp);
+                if bound <= now {
+                    return Ok(Ok(self.locate(o.handle)));
+                }
+                earliest = bound;
+            }
+        }
+
+        // Pass 1: ready row-hit column commands, tier then age order.
+        if let Some(h) = hits.best {
+            if hits.tied {
+                return Err(Tie::RowHit);
+            }
+            return Ok(Ok(self.locate(h.handle)));
+        }
+        earliest = earliest.min(hit_wait);
+
+        // Pass 2: oldest request per bank drives PRE/ACT (or its column
+        // command once the row opens).
+        if bank_tie {
+            return Err(Tie::Bank);
+        }
+        match reps.best {
+            Some(_) if reps.tied => Err(Tie::Bank),
+            Some(r) => Ok(Ok(self.locate(r.handle))),
+            None if maybe < earliest.min(rep_wait) => Err(Tie::Bank),
+            None => Ok(Err(earliest.min(rep_wait))),
+        }
+    }
+
+    /// Queue and position of the request behind `handle`.
+    // rop-lint: hot
+    fn locate(&self, handle: u32) -> (QueueKind, usize) {
+        let kind = self.index.entry(handle).kind;
+        let queue = match kind {
+            QueueKind::Read => &self.read_q,
+            QueueKind::Write => &self.write_q,
+            QueueKind::Prefetch => &self.prefetch_q,
+        };
+        let idx = queue
+            .iter()
+            .position(|q| q.handle == handle)
+            .expect("an indexed request is queued");
+        (kind, idx)
+    }
+
+    /// The reference pick: materialise every candidate
+    /// ([`Self::build_candidates`]) and run the sorted walk
+    /// ([`Self::pick_sorted`]). It answers the index's tie fallback
+    /// and is its oracle. Its working sets live in [`TickScratch`] —
+    /// taken out here, refilled, and put back, which keeps it
+    /// allocation-free.
+    // rop-lint: hot
+    fn pick_walk(&mut self, now: Cycle) -> Pick {
+        let mut s = std::mem::take(&mut self.scratch);
+        self.build_candidates(now, &mut s);
+        let pick = if s.cands.is_empty() {
+            Err(Cycle::MAX)
+        } else {
+            self.pick_sorted(now, &mut s).map(|c| (c.kind, c.idx))
+        };
+        self.scratch = s;
+        pick
     }
 
     /// Fills `s.cands` with every request the admission gates let
@@ -1556,94 +1917,44 @@ impl MemController {
         // requests").
         //
         // Candidates are materialised once — tier, arrival, bank key
-        // and row-hit flag — so the passes of `pick` sort and scan
-        // plain arrays without re-deriving keys through the queues on
-        // every comparison. `pick` only probes; nothing mutates
-        // controller state until the picked command issues, so the
-        // snapshot stays valid for the whole call.
+        // and row-hit flag — so the passes of `pick_sorted` sort and
+        // scan plain arrays without re-deriving keys through the
+        // queues on every comparison.
         s.cands.clear();
-        s.draining.clear();
         s.gates.clear();
-        s.sa_scope.clear();
         for slot in 0..self.refresh_slots() {
-            s.draining.push(matches!(
-                self.refresh.state(slot),
-                RefreshState::Draining { .. }
-            ));
-            s.gates.push((
-                self.slot_blocked(slot, now, false),
-                self.slot_blocked(slot, now, true),
-            ));
-            s.sa_scope.push(self.slot_sa_scope(slot, now));
+            s.gates.push(self.slot_gates(slot, now));
         }
         let geom = self.cfg.dram.geometry;
         let banks = geom.banks_per_rank;
-        // A gate is waived for requests outside the slot's frozen
-        // subarray (SARP); `None` scope waives nothing.
-        let sa_exempt = |scope: Option<usize>, row: usize| {
-            scope.is_some_and(|sa| geom.subarray_of_row(row) != sa)
-        };
-
-        for (i, q) in self.prefetch_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
-            if !s.gates[slot].1 || sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                s.cands
-                    .push(self.materialize(2, QueueKind::Prefetch, i, q, banks));
-            }
-        }
         let serve_writes = self.write_drain || self.read_q.is_empty();
-        for (i, q) in self.read_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
-            let in_set = q.in_drain;
-            let gated = if in_set {
-                s.gates[slot].1
-            } else {
-                s.gates[slot].0
-            };
-            if gated && !sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                continue;
+        for (kind, queue) in [
+            (QueueKind::Prefetch, &self.prefetch_q),
+            (QueueKind::Read, &self.read_q),
+            (QueueKind::Write, &self.write_q),
+        ] {
+            for (i, q) in queue.iter().enumerate() {
+                let a = &q.req.addr;
+                let gates = s.gates[self.addr_slot(a)];
+                // A gate is waived for requests outside the slot's
+                // frozen subarray (SARP).
+                let exempt = gates
+                    .sa_scope
+                    .is_some_and(|sa| geom.subarray_of_row(a.row) != sa);
+                let in_drain = self.index.entry(q.handle).in_drain;
+                if let Some(tier) = gates.tier(kind, in_drain, exempt, serve_writes) {
+                    s.cands.push(self.materialize(tier, kind, i, q, banks));
+                }
             }
-            let tier = if s.draining[slot] && in_set { 0 } else { 1 };
-            s.cands
-                .push(self.materialize(tier, QueueKind::Read, i, q, banks));
-        }
-        for (i, q) in self.write_q.iter().enumerate() {
-            let slot = self.addr_slot(&q.req.addr);
-            let in_set = q.in_drain;
-            let gated = if in_set {
-                s.gates[slot].1
-            } else {
-                s.gates[slot].0
-            };
-            if gated && !sa_exempt(s.sa_scope[slot], q.req.addr.row) {
-                continue;
-            }
-            let tier = if s.draining[slot] && in_set {
-                0
-            } else if serve_writes {
-                1
-            } else {
-                continue;
-            };
-            s.cands
-                .push(self.materialize(tier, QueueKind::Write, i, q, banks));
         }
     }
 
-    /// Chooses the candidate whose next command issues this cycle, or
+    /// The sorted walk: each pass orders its candidates by `(tier,
+    /// arrival)` with `sort_unstable` and takes the first ready one, or
     /// `Err(earliest)` when none is ready. Side-effect free: every pass
     /// only probes ([`Self::probe`]); the caller issues the pick.
-    ///
-    /// Each pass has two exact implementations. The sorted walk orders
-    /// candidates by `(tier, arrival)` with `sort_unstable` and takes
-    /// the first ready one. On long lists the linear pick probes every
-    /// candidate once and takes the oldest ready one instead — the same
-    /// answer whenever that candidate's key is unique. When it is not,
-    /// the sort's placement of equal keys decides, so the linear pick
-    /// defers (`None`) to the walk. Debug builds check every linear
-    /// pick against the walk.
     // rop-lint: hot
-    fn pick(&self, now: Cycle, s: &mut TickScratch) -> Result<Cand, Cycle> {
+    fn pick_sorted(&self, now: Cycle, s: &mut TickScratch) -> Result<Cand, Cycle> {
         let mut earliest = Cycle::MAX;
 
         // Pass 0: starvation guard — serve the oldest over-age request.
@@ -1658,31 +1969,15 @@ impl MemController {
             }
         }
 
-        let linear = s.cands.len() > LINEAR_PICK_MIN_CANDS;
-
         // Pass 1: ready row-hit column commands, tier then age order.
-        let hit = match linear.then(|| self.pick_hit_linear(now, s)).flatten() {
-            Some(p) => {
-                debug_assert_eq!(p, self.pick_hit_sorted(now, s), "row-hit pass");
-                p
-            }
-            None => self.pick_hit_sorted(now, s),
-        };
-        match hit {
+        match self.pick_hit_sorted(now, s) {
             Ok(c) => return Ok(c),
             Err(e) => earliest = earliest.min(e),
         }
 
         // Pass 2: oldest request per bank drives PRE/ACT (or its column
         // command once the row opens).
-        let per_bank = match linear.then(|| self.pick_bank_linear(now, s)).flatten() {
-            Some(p) => {
-                debug_assert_eq!(p, self.pick_bank_sorted(now, s), "per-bank pass");
-                p
-            }
-            None => self.pick_bank_sorted(now, s),
-        };
-        per_bank.map_err(|e| earliest.min(e))
+        self.pick_bank_sorted(now, s).map_err(|e| earliest.min(e))
     }
 
     /// Pass 1 by sorted walk: row hits in key order, first ready wins.
@@ -1700,17 +1995,6 @@ impl MemController {
             earliest = earliest.min(e);
         }
         Err(earliest)
-    }
-
-    /// Pass 1 by linear scan: probe every row hit, take the oldest
-    /// ready one. `None` when another ready hit shares its key.
-    // rop-lint: hot
-    fn pick_hit_linear(&self, now: Cycle, s: &TickScratch) -> Option<Result<Cand, Cycle>> {
-        let mut oldest = OldestReady::default();
-        for c in s.cands.iter().filter(|c| c.hit) {
-            oldest.offer(*c, self.probe(c.kind, c.idx, now), now);
-        }
-        oldest.pick()
     }
 
     /// Pass 2 by sorted walk: the first candidate of each bank in key
@@ -1735,40 +2019,6 @@ impl MemController {
             earliest = earliest.min(e);
         }
         Err(earliest)
-    }
-
-    /// Pass 2 by linear scan: find each bank's oldest candidate, probe
-    /// those, take the oldest ready one. `None` when a bank's oldest key
-    /// is shared within the bank, or the winner's key by another ready
-    /// representative.
-    // rop-lint: hot
-    fn pick_bank_linear(&self, now: Cycle, s: &mut TickScratch) -> Option<Result<Cand, Cycle>> {
-        s.bank_oldest.fill((usize::MAX, false));
-        for (j, c) in s.cands.iter().enumerate() {
-            let entry = &mut s.bank_oldest[c.bank as usize];
-            if entry.0 == usize::MAX {
-                *entry = (j, false);
-                continue;
-            }
-            let held = s.cands[entry.0].key();
-            if c.key() < held {
-                *entry = (j, false);
-            } else if c.key() == held {
-                entry.1 = true;
-            }
-        }
-        let mut oldest = OldestReady::default();
-        for &(j, bank_tied) in &s.bank_oldest {
-            if j == usize::MAX {
-                continue;
-            }
-            if bank_tied {
-                return None;
-            }
-            let c = s.cands[j];
-            oldest.offer(c, self.probe(c.kind, c.idx, now), now);
-        }
-        oldest.pick()
     }
 
     /// Builds the materialised scheduling snapshot for one queued
@@ -1833,7 +2083,7 @@ impl MemController {
     fn issue_for(&mut self, kind: QueueKind, i: usize, now: Cycle) {
         debug_assert!(self.probe(kind, i, now) <= now, "issued before ready");
         let cmd = self.next_command(kind, i);
-        let outcome = self.device.issue(&cmd, now);
+        let outcome = self.issue_command(&cmd, now);
         let Queued { req, acted, .. } = *self.queued(kind, i);
         match cmd {
             Command::Read { rank, bank, .. } | Command::Write { rank, bank, .. } => {
@@ -1876,7 +2126,7 @@ impl MemController {
         };
         let req = q.req;
         // Remove from the slot's drain set if present.
-        if q.in_drain {
+        if self.index.remove(q.handle).in_drain {
             let slot = self.addr_slot(&req.addr);
             let set = &mut self.drain_sets[slot];
             if let Some(pos) = set.iter().position(|&id| id == req.id) {
@@ -1904,6 +2154,9 @@ impl MemController {
         let _ = now;
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2213,11 +2466,11 @@ mod tests {
     }
 
     /// Forty reads into one bank, all arriving in the same cycle: every
-    /// candidate shares one `(tier, arrival)` key, so the linear pick
-    /// must defer to the sorted walk — in the per-bank pass while the
-    /// bank is closed, and in the row-hit pass once a row holding
-    /// several of them opens. Every linear pick that does not defer is
-    /// checked against the walk by the debug cross-check in `pick`.
+    /// candidate shares one `(tier, arrival)` key, so the indexed pick
+    /// must fall back to the sorted walk — in the per-bank pass while
+    /// the bank is closed, and in the row-hit pass once a row holding
+    /// several of them opens. Every indexed pick that does not fall
+    /// back is checked against the walk.
     #[test]
     fn same_cycle_same_bank_ties_fall_back_to_the_sorted_walk() {
         let mut c = baseline_1rank();
@@ -2237,13 +2490,13 @@ mod tests {
         let mut now = 0;
         while c.stats().reads_completed < 40 {
             assert!(now < 20_000, "reads starved");
-            let mut s = TickScratch::with_bounds(128, 1, 8);
-            c.build_candidates(now, &mut s);
-            if s.cands.len() > LINEAR_PICK_MIN_CANDS {
-                hit_ties += usize::from(c.pick_hit_linear(now, &s).is_none());
-                bank_ties += usize::from(c.pick_bank_linear(now, &mut s).is_none());
-            }
             now = c.tick(now);
+            match c.last_pick.take() {
+                Some((Err(Tie::RowHit), _)) => hit_ties += 1,
+                Some((Err(Tie::Bank), _)) => bank_ties += 1,
+                Some((Err(Tie::AgeCap), _)) | None => {}
+                Some((Ok(p), walk)) => assert_eq!(p, walk, "indexed pick at cycle {now}"),
+            }
         }
         assert!(bank_ties > 0, "per-bank tie never reached the fallback");
         assert!(hit_ties > 0, "row-hit tie never reached the fallback");

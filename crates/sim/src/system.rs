@@ -505,28 +505,36 @@ mod tests {
         }
     }
 
-    /// Runs the same configuration through both loops and asserts the
-    /// metrics the acceptance criteria pin down are bit-identical.
-    fn assert_loops_agree(kind: SystemKind, b: Benchmark, target: u64, cap: Cycle) {
-        let mut event = System::new(SystemConfig::single_core(b, kind, 42));
+    /// Runs `cfg` through both loops, asserts the metrics the
+    /// acceptance criteria pin down are bit-identical, and returns the
+    /// event loop's metrics.
+    fn assert_config_loops_agree(cfg: SystemConfig, target: u64, cap: Cycle) -> RunMetrics {
+        let what = format!("{:?}/{:?}", cfg.kind, cfg.benchmarks);
+        let mut event = System::new(cfg.clone());
         let me = event.run_until(target, cap);
-        let mut reference = System::new(SystemConfig::single_core(b, kind, 42));
+        let mut reference = System::new(cfg);
         let mr = reference.run_until_reference(target, cap);
 
-        assert_eq!(me.total_cycles, mr.total_cycles, "{kind:?}/{b:?}");
-        assert_eq!(me.refreshes, mr.refreshes, "{kind:?}/{b:?}");
-        assert_eq!(me.hit_cycle_cap, mr.hit_cycle_cap, "{kind:?}/{b:?}");
-        assert_eq!(me.sram_lookups, mr.sram_lookups, "{kind:?}/{b:?}");
-        assert_eq!(me.prefetches, mr.prefetches, "{kind:?}/{b:?}");
-        assert_eq!(me.energy.total_nj(), mr.energy.total_nj(), "{kind:?}/{b:?}");
+        assert_eq!(me.total_cycles, mr.total_cycles, "{what}");
+        assert_eq!(me.refreshes, mr.refreshes, "{what}");
+        assert_eq!(me.hit_cycle_cap, mr.hit_cycle_cap, "{what}");
+        assert_eq!(me.sram_lookups, mr.sram_lookups, "{what}");
+        assert_eq!(me.prefetches, mr.prefetches, "{what}");
+        assert_eq!(me.energy.total_nj(), mr.energy.total_nj(), "{what}");
         for (ce, cr) in me.cores.iter().zip(&mr.cores) {
-            assert_eq!(ce.instructions, cr.instructions, "{kind:?}/{b:?}");
-            assert_eq!(ce.finish_cycle, cr.finish_cycle, "{kind:?}/{b:?}");
-            assert_eq!(ce.ipc, cr.ipc, "{kind:?}/{b:?}");
-            assert_eq!(ce.llc_hits, cr.llc_hits, "{kind:?}/{b:?}");
-            assert_eq!(ce.read_misses, cr.read_misses, "{kind:?}/{b:?}");
-            assert_eq!(ce.stall_cycles, cr.stall_cycles, "{kind:?}/{b:?}");
+            assert_eq!(ce.instructions, cr.instructions, "{what}");
+            assert_eq!(ce.finish_cycle, cr.finish_cycle, "{what}");
+            assert_eq!(ce.ipc, cr.ipc, "{what}");
+            assert_eq!(ce.llc_hits, cr.llc_hits, "{what}");
+            assert_eq!(ce.read_misses, cr.read_misses, "{what}");
+            assert_eq!(ce.stall_cycles, cr.stall_cycles, "{what}");
         }
+        me
+    }
+
+    /// [`assert_config_loops_agree`] on a stock single-core system.
+    fn assert_loops_agree(kind: SystemKind, b: Benchmark, target: u64, cap: Cycle) {
+        assert_config_loops_agree(SystemConfig::single_core(b, kind, 42), target, cap);
     }
 
     #[test]
@@ -583,22 +591,20 @@ mod tests {
         let mut ctrl = kind.memctrl_config(cfg.ranks, cfg.seed);
         tweak(&mut ctrl);
         cfg.ctrl_override = Some(ctrl);
-        let mut event = System::new(cfg.clone());
-        let me = event.run_until(target, cap);
-        let mut reference = System::new(cfg);
-        let mr = reference.run_until_reference(target, cap);
+        assert_config_loops_agree(cfg, target, cap);
+    }
 
-        assert_eq!(me.total_cycles, mr.total_cycles, "{kind:?}/{b:?}");
-        assert_eq!(me.refreshes, mr.refreshes, "{kind:?}/{b:?}");
-        assert_eq!(me.hit_cycle_cap, mr.hit_cycle_cap, "{kind:?}/{b:?}");
-        assert_eq!(me.sram_lookups, mr.sram_lookups, "{kind:?}/{b:?}");
-        assert_eq!(me.prefetches, mr.prefetches, "{kind:?}/{b:?}");
-        assert_eq!(me.energy.total_nj(), mr.energy.total_nj(), "{kind:?}/{b:?}");
-        for (ce, cr) in me.cores.iter().zip(&mr.cores) {
-            assert_eq!(ce.finish_cycle, cr.finish_cycle, "{kind:?}/{b:?}");
-            assert_eq!(ce.ipc, cr.ipc, "{kind:?}/{b:?}");
-            assert_eq!(ce.stall_cycles, cr.stall_cycles, "{kind:?}/{b:?}");
-        }
+    /// `cfg` with ROP training cut to two refreshes: the SRAM buffer
+    /// powers on within a few tREFI, so short runs reach the prefetch
+    /// path instead of ending inside the 50-refresh training phase.
+    fn quickly_trained(mut cfg: SystemConfig) -> SystemConfig {
+        let mut ctrl = cfg.kind.memctrl_config(cfg.ranks, cfg.seed);
+        ctrl.rop
+            .as_mut()
+            .expect("a ROP controller")
+            .training_refreshes = 2;
+        cfg.ctrl_override = Some(ctrl);
+        cfg
     }
 
     #[test]
@@ -744,6 +750,44 @@ mod tests {
         for (ce, cr) in me.cores.iter().zip(&mr.cores) {
             assert_eq!(ce.finish_cycle, cr.finish_cycle, "{}", ce.benchmark);
             assert_eq!(ce.stall_cycles, cr.stall_cycles, "{}", ce.benchmark);
+        }
+    }
+
+    #[test]
+    fn event_loop_is_cycle_exact_multicore_rop() {
+        // Four ranks take turns with one trained SRAM buffer, so
+        // prefetches sit queued while a rank drains. Its drain then
+        // completes when the prefetch grace runs out — a change no
+        // command or arrival announces, which the controller's hint
+        // must still wake the event loop for.
+        let kind = SystemKind::Rop { buffer: 64 };
+        let mix = rop_trace::WORKLOAD_MIXES[0];
+        let cfg = quickly_trained(SystemConfig::multi_core(mix.programs, kind, 1));
+        let m = assert_config_loops_agree(cfg, 60_000, 50_000_000);
+        assert!(m.prefetches > 0, "the SRAM buffer never powered on");
+    }
+
+    #[test]
+    fn event_loop_is_cycle_exact_trained_rop() {
+        let kind = SystemKind::Rop { buffer: 64 };
+        for b in [Benchmark::Libquantum, Benchmark::Lbm] {
+            let cfg = quickly_trained(SystemConfig::single_core(b, kind, 42));
+            let m = assert_config_loops_agree(cfg, 400_000, 40_000_000);
+            assert!(m.prefetches > 0, "{b:?}: the SRAM buffer never powered on");
+        }
+    }
+
+    #[test]
+    fn event_loop_is_cycle_exact_darp_sarp_under_refresh_pressure() {
+        // tREFI/8: DARP pulls refreshes into every idle window and SARP
+        // keeps one subarray per bank locked most of the time, so the
+        // per-bank gates and subarray exemptions change tick by tick.
+        for kind in [SystemKind::Darp, SystemKind::Sarp] {
+            for b in [Benchmark::Libquantum, Benchmark::Lbm] {
+                assert_loops_agree_with(kind, b, 120_000, 20_000_000, |ctrl| {
+                    ctrl.dram.timing.t_refi_base /= 8
+                });
+            }
         }
     }
 
