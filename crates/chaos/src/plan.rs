@@ -3,9 +3,9 @@
 //! A [`FaultPlan`] is a pure function of `(seed, count)`: the same pair
 //! always produces the same `(site, kind)` schedule, so any oracle
 //! failure is replayable from two integers. Sites index *global
-//! monotone counters* — the nth store append, the nth job attempt —
-//! maintained by the [`ArmedPlan`] across every crash/resume round, and
-//! each fault is consumed exactly once.
+//! monotone counters* — the nth store record written, the nth job
+//! attempt — maintained by the [`ArmedPlan`] across every crash/resume
+//! round, and each fault is consumed exactly once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -15,8 +15,9 @@ use std::collections::BTreeMap;
 /// Where in the pipeline a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Site {
-    /// The nth store append since the plan was armed (process-global,
-    /// counted across crash/resume rounds).
+    /// The nth record the store writes since the plan was armed
+    /// (process-global, counted across crash/resume rounds). A group
+    /// commit writes many records in one I/O call; each is its own site.
     Append(u64),
     /// The nth job attempt since the plan was armed.
     Attempt(u64),
@@ -34,18 +35,20 @@ impl std::fmt::Display for Site {
 /// What goes wrong at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Half the record's bytes reach disk, then the "process dies"
-    /// (the append returns an error that aborts the round).
+    /// The records before it in its group land whole, then half the
+    /// record's bytes, then the "process dies" (the append returns an
+    /// error that aborts the round).
     TornWrite,
     /// The tail of the record is silently dropped: the append reports
     /// success but leaves a corrupt line for the next load to
     /// quarantine. The nastiest store fault — only the oracle's final
     /// clean verify round catches it.
     ShortWrite,
-    /// The bytes land but the fsync "fails"; the round aborts even
-    /// though the data is intact.
+    /// The whole group lands but the fsync "fails"; the round aborts
+    /// even though the data is intact.
     FsyncError,
-    /// Nothing is written (ENOSPC); the round aborts.
+    /// Nothing of the record or the rest of its group is written
+    /// (ENOSPC); the round aborts.
     DiskFull,
     /// The record is appended twice; newest-record-wins resume must
     /// shrug it off.
@@ -212,7 +215,8 @@ impl ArmedPlan {
         Some(kind)
     }
 
-    /// Counts one store append; returns the fault planned for it.
+    /// Counts one record written to the store; returns the fault
+    /// planned for it.
     pub fn take_append_fault(&self) -> Option<FaultKind> {
         let n = self.appends.fetch_add(1, Ordering::SeqCst);
         self.take(Site::Append(n))

@@ -62,7 +62,7 @@ pub fn chaos_log_path(store_path: &Path) -> PathBuf {
 /// least once in the run's history.
 fn await_fleet(chaos_log: &Path, procs: usize, slot: usize) {
     let line = format!("ready {slot}\n");
-    if let Err(e) = RealIo.append_line(chaos_log, &line) {
+    if let Err(e) = RealIo.append_lines(chaos_log, &line) {
         eprintln!("# w{slot}: ready announce failed: {e}");
     }
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -221,7 +221,7 @@ impl DistHooks {
             f.site
         );
         eprintln!("# w{}: firing {} at {}", self.slot, f.kind.name(), f.site);
-        if let Err(e) = RealIo.append_line(&self.chaos_log, &line) {
+        if let Err(e) = RealIo.append_lines(&self.chaos_log, &line) {
             eprintln!("# w{}: chaos log write failed: {e}", self.slot);
         }
     }

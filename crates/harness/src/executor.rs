@@ -3,10 +3,10 @@
 //! [`StoreExecutor`] is the bridge between the declarative experiment
 //! job sets in `rop-sim-system` and the persistence layer here: it
 //! resolves every job against the JSONL store first (resume), runs only
-//! the missing ones on the fault-isolated pool, appends each outcome as
-//! soon as it lands, and returns metrics decoded *from their serialized
-//! form* — so a figure assembled through it is, by construction, a
-//! figure read from the store.
+//! the missing ones on the fault-isolated pool, appends the outcomes in
+//! job order as group-committed records, and returns metrics decoded
+//! *from their serialized form* — so a figure assembled through it is,
+//! by construction, a figure read from the store.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -507,9 +507,11 @@ impl SweepExecutor for StoreExecutor {
             Some(progress),
         );
 
-        // Append every outcome, decode ok metrics back from their
-        // serialized record, and fill result slots (including batch
-        // duplicates of the same id).
+        // Append every outcome in job order, decode ok metrics back from
+        // their serialized record, and fill result slots (including
+        // batch duplicates of the same id). The records are committed in
+        // bounded groups: one write and one fsync per `GROUP_BYTES`.
+        let mut group = self.store.group_commit(&contents);
         let mut executed = 0usize;
         let mut failed = 0usize;
         let mut not_run = 0usize;
@@ -533,14 +535,13 @@ impl SweepExecutor for StoreExecutor {
                     };
                     // Losing a finished result silently would defeat the
                     // durability contract; fail loudly instead.
-                    let line = self
-                        .store
-                        .append(&rec)
+                    let line = group
+                        .push(&rec)
                         .unwrap_or_else(|e| panic!("store append failed: {e}")); // rop-lint: allow(no-panic)
 
-                    // Round-trip through the line just written: what the
-                    // figure sees is exactly what the store holds.
-                    let decoded = Json::parse(&line)
+                    // Round-trip through the line just committed: what
+                    // the figure sees is exactly what the store holds.
+                    let decoded = Json::parse(line)
                         .and_then(|j| Record::from_json(&j))
                         .unwrap_or_else(|e| panic!("store round-trip failed: {e}")); // rop-lint: allow(no-panic)
                     fresh.insert(id, decoded.metrics);
@@ -562,8 +563,8 @@ impl SweepExecutor for StoreExecutor {
                         epoch: 0,
                         worker: String::new(),
                     };
-                    self.store
-                        .append(&rec)
+                    group
+                        .push(&rec)
                         .unwrap_or_else(|e| panic!("store append failed: {e}")); // rop-lint: allow(no-panic)
                     self.failures
                         .lock()
@@ -581,6 +582,10 @@ impl SweepExecutor for StoreExecutor {
                 }
             }
         }
+        // Every record is durable before `execute` returns.
+        group
+            .finish()
+            .unwrap_or_else(|e| panic!("store append failed: {e}")); // rop-lint: allow(no-panic)
 
         {
             let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
@@ -655,39 +660,61 @@ mod tests {
 
     #[test]
     fn each_result_is_appended_once_and_decoded_from_its_line() {
-        use crate::store::{RealIo, StoreIo};
+        use crate::store::{RealIo, StoreIo, GROUP_BYTES};
         use std::path::Path;
 
-        /// Records every line the store appends.
+        /// Records every chunk the store appends.
         #[derive(Default)]
         struct RecordingIo(Mutex<Vec<String>>);
         impl StoreIo for RecordingIo {
             fn read_file(&self, path: &Path) -> Result<Option<String>, String> {
                 RealIo.read_file(path)
             }
-            fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
-                self.0.lock().unwrap().push(line.to_string());
-                RealIo.append_line(path, line)
+            fn append_lines(&self, path: &Path, lines: &str) -> Result<(), String> {
+                self.0.lock().unwrap().push(lines.to_string());
+                RealIo.append_lines(path, lines)
             }
         }
 
         let path = tmp_store("render-once").path().to_path_buf();
         let io = Arc::new(RecordingIo::default());
         let exec = StoreExecutor::new(Store::with_io(&path, io.clone()));
-        let jobs: Vec<SweepJob> = [Benchmark::Bzip2, Benchmark::Gobmk]
-            .into_iter()
-            .map(|b| SweepJob::single("t", b, SystemKind::Baseline, tiny_spec()))
+        // Enough distinct jobs to span more than one group.
+        let jobs: Vec<SweepJob> = (0..160)
+            .map(|seed| {
+                let spec = RunSpec {
+                    instructions: 1_000,
+                    seed,
+                    ..tiny_spec()
+                };
+                SweepJob::single("t", Benchmark::Bzip2, SystemKind::Baseline, spec)
+            })
             .collect();
+        let ids: Vec<String> = jobs.iter().map(job_id).collect();
         let out = exec.execute(jobs);
-        // One append — one fsync — per record, in job order, and each
+
+        // Every record is written exactly once, in job order, and each
         // result is what its stored line decodes to.
-        let lines = io.0.lock().unwrap().clone();
-        assert_eq!(lines.len(), 2);
-        for (line, m) in lines.iter().zip(&out) {
-            let rec = Record::from_json(&Json::parse(line.trim_end()).unwrap()).unwrap();
+        let chunks = io.0.lock().unwrap().clone();
+        let written: String = chunks.concat();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), written);
+        let lines: Vec<&str> = written.lines().collect();
+        assert_eq!(lines.len(), ids.len());
+        for ((line, id), m) in lines.iter().zip(&ids).zip(&out) {
+            let rec = Record::from_json(&Json::parse(line).unwrap()).unwrap();
+            assert_eq!(&rec.job, id);
             let stored = rec.metrics.expect("an ok record");
             assert_eq!(stored.to_json().render(), m.to_json().render());
         }
+        // Bounded groups: every group but the last is the shortest run
+        // of whole lines reaching GROUP_BYTES, so the number of appends
+        // (each one write and one fsync) is about bytes / GROUP_BYTES.
+        let max_line = lines.iter().map(|l| l.len() + 1).max().unwrap();
+        for chunk in &chunks[..chunks.len() - 1] {
+            assert!(chunk.len() >= GROUP_BYTES && chunk.len() < GROUP_BYTES + max_line);
+        }
+        assert!(chunks.len() >= 2, "the grid spans more than one group");
+        assert!(chunks.len() <= written.len().div_ceil(GROUP_BYTES) + 1);
         let _ = std::fs::remove_file(&path);
     }
 

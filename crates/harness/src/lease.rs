@@ -312,7 +312,7 @@ impl LeaseLog {
     pub fn append(&self, rec: &LeaseRecord) -> Result<(), String> {
         let mut line = rec.to_json().render();
         line.push('\n');
-        self.io.append_line(&self.path, &line)
+        self.io.append_lines(&self.path, &line)
     }
 }
 

@@ -5,7 +5,9 @@
 //! `JobId` already has an `ok` record; `failed` records are retried on
 //! the next invocation (the newest record for a job wins). A line
 //! truncated by a crash mid-write fails to parse and is counted as
-//! corrupt, never trusted.
+//! corrupt, never trusted. A sweep commits its records in groups
+//! ([`GroupCommit`]): one write and one fsync per [`GROUP_BYTES`] of
+//! lines rather than one per record.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -24,9 +26,10 @@ pub trait StoreIo: Send + Sync {
     /// Reads the whole file; `Ok(None)` when it does not exist.
     fn read_file(&self, path: &Path) -> Result<Option<String>, String>;
 
-    /// Appends `line` (which must include its trailing newline) and
-    /// durably syncs it to the device before returning `Ok`.
-    fn append_line(&self, path: &Path, line: &str) -> Result<(), String>;
+    /// Appends `lines` (one or more whole lines, each with its trailing
+    /// newline) in one write and durably syncs them to the device
+    /// before returning `Ok`.
+    fn append_lines(&self, path: &Path, lines: &str) -> Result<(), String>;
 }
 
 /// The production [`StoreIo`]: real reads, real appends, real fsyncs.
@@ -42,7 +45,7 @@ impl StoreIo for RealIo {
         }
     }
 
-    fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
+    fn append_lines(&self, path: &Path, lines: &str) -> Result<(), String> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -56,7 +59,7 @@ impl StoreIo for RealIo {
         // `File::flush` is a no-op (there is no userspace buffer to
         // flush); only `sync_data` actually forces the bytes down to
         // the device.
-        f.write_all(line.as_bytes())
+        f.write_all(lines.as_bytes())
             .and_then(|_| f.sync_data())
             .map_err(|e| format!("{}: {e}", path.display()))
     }
@@ -193,6 +196,10 @@ pub struct StoreContents {
     pub records: Vec<Record>,
     /// Lines that failed to parse (e.g. truncated by a crash).
     pub corrupt_lines: usize,
+    /// The file ends inside a line (a write torn by a crash): the next
+    /// [`GroupCommit`] starts on a fresh line so the torn tail stays one
+    /// quarantined line instead of swallowing the first new record.
+    pub torn_tail: bool,
 }
 
 impl StoreContents {
@@ -282,7 +289,10 @@ impl Store {
         let Some(text) = self.io.read_file(&self.path)? else {
             return Ok(Default::default());
         };
-        let mut out = StoreContents::default();
+        let mut out = StoreContents {
+            torn_tail: !text.is_empty() && !text.ends_with('\n'),
+            ..Default::default()
+        };
         for line in text.lines() {
             if line.trim().is_empty() {
                 continue;
@@ -297,15 +307,73 @@ impl Store {
 
     /// Appends one record (single line + newline, fsync'd to the
     /// device before returning so a machine crash after a successful
-    /// append cannot lose it). Returns the line written, without its
-    /// newline, so a caller can decode exactly the bytes the store holds
-    /// without rendering the record a second time.
-    pub fn append(&self, rec: &Record) -> Result<String, String> {
+    /// append cannot lose it).
+    pub fn append(&self, rec: &Record) -> Result<(), String> {
         let mut line = rec.to_json().render();
         line.push('\n');
-        self.io.append_line(&self.path, &line)?;
-        line.pop();
-        Ok(line)
+        self.io.append_lines(&self.path, &line)
+    }
+
+    /// Starts a group commit of records appended after `contents`, the
+    /// store as last loaded (see [`StoreContents::torn_tail`]).
+    pub fn group_commit(&self, contents: &StoreContents) -> GroupCommit<'_> {
+        GroupCommit {
+            store: self,
+            buf: String::new(),
+            fresh_line: contents.torn_tail,
+        }
+    }
+}
+
+/// Bytes of record lines a [`GroupCommit`] gathers before it hands them
+/// to the store in one write and one `sync_data` (~30 sweep records).
+pub const GROUP_BYTES: usize = 64 * 1024;
+
+/// Appends records to a [`Store`] in bounded groups, in push order.
+///
+/// Each group is the shortest run of lines reaching [`GROUP_BYTES`]
+/// (the last one may be shorter), so the buffer never holds more than
+/// one group plus one record. A record is durable once its group's
+/// `sync_data` returns: when a later [`GroupCommit::push`] finds the
+/// group full, or at [`GroupCommit::finish`]. Dropping the commit
+/// without `finish` loses the unwritten group, exactly as a crash would.
+#[derive(Debug)]
+pub struct GroupCommit<'a> {
+    store: &'a Store,
+    buf: String,
+    /// Start the first line with a newline (the file ends torn).
+    fresh_line: bool,
+}
+
+impl GroupCommit<'_> {
+    /// Renders `rec` as one line into the group, first writing out the
+    /// group if it is full. Returns the line, without its newline, so a
+    /// caller can decode exactly the bytes the store will hold.
+    pub fn push(&mut self, rec: &Record) -> Result<&str, String> {
+        if self.buf.len() >= GROUP_BYTES {
+            self.flush()?;
+        }
+        if std::mem::take(&mut self.fresh_line) {
+            self.buf.push('\n');
+        }
+        let start = self.buf.len();
+        rec.to_json().render_into(&mut self.buf);
+        let end = self.buf.len();
+        self.buf.push('\n');
+        Ok(&self.buf[start..end])
+    }
+
+    /// Writes and syncs the last group.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.flush()
+    }
+
+    fn flush(&mut self) -> Result<(), String> {
+        if !self.buf.is_empty() {
+            self.store.io.append_lines(&self.store.path, &self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
     }
 }
 
@@ -534,18 +602,17 @@ mod tests {
                 self.reads.fetch_add(1, Ordering::SeqCst);
                 RealIo.read_file(path)
             }
-            fn append_line(&self, path: &Path, line: &str) -> Result<(), String> {
+            fn append_lines(&self, path: &Path, lines: &str) -> Result<(), String> {
                 self.appends.fetch_add(1, Ordering::SeqCst);
-                assert!(line.ends_with('\n'), "append contract: newline included");
-                RealIo.append_line(path, line)
+                assert!(lines.ends_with('\n'), "append contract: newline included");
+                RealIo.append_lines(path, lines)
             }
         }
 
         let path = tmp("io-seam");
         let io = Arc::new(CountingIo::default());
         let store = Store::with_io(&path, io.clone());
-        let line = store.append(&ok_record("aaaa", 0.5)).unwrap();
-        assert_eq!(line, ok_record("aaaa", 0.5).to_json().render());
+        store.append(&ok_record("aaaa", 0.5)).unwrap();
         store.append(&ok_record("bbbb", 0.6)).unwrap();
         let contents = store.load().unwrap();
         assert_eq!(contents.records.len(), 2);
@@ -558,7 +625,7 @@ mod tests {
             fn read_file(&self, path: &Path) -> Result<Option<String>, String> {
                 RealIo.read_file(path)
             }
-            fn append_line(&self, _: &Path, _: &str) -> Result<(), String> {
+            fn append_lines(&self, _: &Path, _: &str) -> Result<(), String> {
                 Err("injected disk-full".into())
             }
         }

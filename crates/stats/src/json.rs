@@ -102,7 +102,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders compact single-line JSON onto the end of `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
